@@ -29,25 +29,24 @@ the chaos harness.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
-import zlib
 from typing import Dict, List, Optional, Sequence
 
 from repro.adversary.director import ScheduleDirector
 from repro.adversary.probes import OpacityProbe
 from repro.adversary.schedules import SCHEDULES, ScheduleSpec
 from repro.chaos.invariants import InvariantChecker
-from repro.core.descriptor import ConflictMode
-from repro.core.machine import FlexTMMachine
-from repro.errors import ReproError
-from repro.params import small_test_params
-from repro.runtime.scheduler import Scheduler
-from repro.runtime.txthread import TxThread
-from repro.verify.history import (
-    RecordingBackend,
-    SerializabilityViolation,
-    check_serializable,
+from repro.harness.chaos import (
+    Perturbation,
+    cell_seed,
+    fan_out,
+    judge,
+    matrix_cell,
+    per_backend,
+    run_cell,
 )
+from repro.runtime.txthread import TxThread
 
 DEFAULT_CYCLE_LIMIT = 10_000_000
 
@@ -83,9 +82,51 @@ class ScheduleCell:
         return dataclasses.asdict(self)
 
 
-def cell_seed(seed: int, backend: str, schedule: str) -> int:
-    """The replay seed for one cell (same mixing as the chaos harness)."""
-    return seed ^ zlib.crc32(f"{backend}:{schedule}".encode())
+class ScheduleArms(Perturbation):
+    """An adversary cell: strict invariants, the opacity probe, and the
+    schedule's bodies driven by its :class:`ScheduleDirector`."""
+
+    def __init__(self, spec: ScheduleSpec, seed: int, strict: bool):
+        self.spec = spec
+        self.seed = seed
+        self.strict = strict
+        self.processors = max(spec.threads, 2)
+        self.num_cells = spec.cells
+        self.oracle = not spec.plain_ops
+        self.probe = OpacityProbe()
+
+    def arm(self, machine):
+        machine.set_invariants(InvariantChecker(strict=self.strict))
+        machine.set_probes(self.probe)
+
+    def workload(self, backend, cells):
+        for index, cell in enumerate(cells):
+            self.probe.track(cell, index)
+        # Unique write values, offset per cell so reads-from attribution
+        # is exact and distinct across the matrix.
+        unique = itertools.count(1000 + (self.seed % 1000) * 10_000)
+        bodies, script = self.spec.build(cells, unique)
+        self.director = ScheduleDirector(dataclasses.replace(script, seed=self.seed))
+        tx_threads = [
+            TxThread(thread_id, backend, items)
+            for thread_id, items in enumerate(bodies)
+        ]
+        # Only transactional items produce commits; plain items (bridged
+        # schedules) are tallied separately by the threads.
+        return tx_threads, sum(
+            1 for items in bodies for item in items if item.transactional
+        )
+
+    def observe(self, machine, result, run):
+        if result is not None:
+            wasted = machine.metrics.histogram("tx.wasted_cycles")
+            run["wasted_cycles"] = {
+                key: getattr(wasted, key) for key in ("count", "total", "mean", "p95")
+            }
+        run["probe"] = self.probe.summary()
+        run["directives"] = list(self.director.log)
+        if self.probe.violations:
+            run["opacity"] = "opacity: " + self.probe.violations[0].detail
 
 
 def run_schedule_cell(
@@ -103,125 +144,25 @@ def run_schedule_cell(
     through exactly the same oracle stack as the named catalog;
     ``schedule`` then only names the cell (and salts its seed).
     """
-    from repro.harness.runner import SYSTEMS
-    from repro.obs.metrics import MetricsHub
-
     if spec is None:
         spec = SCHEDULES[schedule]
     mixed = cell_seed(seed, backend_name, schedule)
-    machine = FlexTMMachine(small_test_params(max(spec.threads, 2)))
-    hub = MetricsHub()
-    machine.set_metrics(hub)
-    machine.set_invariants(InvariantChecker(strict=strict))
-    probe = OpacityProbe()
-    machine.set_probes(probe)
-    backend = RecordingBackend(SYSTEMS[backend_name](machine, ConflictMode.EAGER))
-    line = machine.params.line_bytes
-    cells = [machine.allocate(line, line_aligned=True) for _ in range(spec.cells)]
-    for index, cell in enumerate(cells):
-        machine.memory.write(cell, index)
-        backend.recorder.note_initial(cell, index)
-        probe.track(cell, index)
-    # Unique write values, offset per cell so reads-from attribution is
-    # exact and distinct across the matrix.
-    unique = itertools.count(1000 + (mixed % 1000) * 10_000)
-    bodies, script = spec.build(cells, unique)
-    script = dataclasses.replace(script, seed=mixed)
-    director = ScheduleDirector(script)
-    tx_threads = [
-        TxThread(thread_id, backend, items)
-        for thread_id, items in enumerate(bodies)
-    ]
-    # Only transactional items produce commits; plain items (bridged
-    # schedules) are tallied separately by the threads.
-    expected = sum(
-        1 for items in bodies for item in items if item.transactional
-    )
-    out = ScheduleCell(
-        backend=backend_name, schedule=schedule, verdict="conforms", seed=mixed
-    )
-    error = ""
-    try:
-        result = Scheduler(machine, tx_threads, director=director).run(
-            cycle_limit=cycle_limit
-        )
-        out.commits = result.commits
-        out.aborts = result.aborts
-        out.cycles = result.cycles
-        out.aborts_by_kind = dict(result.aborts_by_kind)
-        wasted = hub.histogram("tx.wasted_cycles")
-        out.wasted_cycles = {
-            "count": wasted.count,
-            "total": wasted.total,
-            "mean": wasted.mean,
-            "p95": wasted.p95,
-        }
-    except ReproError as exc:
-        error = f"{type(exc).__name__}: {exc}"
-    except Exception as exc:  # noqa: BLE001 — a crash IS the finding
-        error = f"crash {type(exc).__name__}: {exc}"
-    out.probe = probe.summary()
-    out.directives = list(director.log)
-    if error:
-        out.verdict, out.detail = VIOLATES, error
-        return out
-    if out.commits < expected:
-        out.verdict = VIOLATES
-        out.detail = f"wedged: {out.commits}/{expected} commits at cycle budget"
-        return out
-    if not spec.plain_ops:
-        try:
-            witness = check_serializable(backend.recorder)
-        except SerializabilityViolation as exc:
-            out.verdict, out.detail = (
-                VIOLATES,
-                f"SerializabilityViolation: {exc}",
-            )
-            return out
-    if probe.violations:
-        out.verdict = VIOLATES
-        out.detail = "opacity: " + probe.violations[0].detail
-        return out
-    if not spec.plain_ops:
-        replay = dict(backend.recorder.initial_values)
-        for txn in witness:
-            replay.update(txn.writes)
-        if any(machine.memory.read(cell) != replay[cell] for cell in cells):
-            out.verdict = VIOLATES
-            out.detail = "final memory diverges from serial witness replay"
-            return out
-    if out.aborts > 0:
-        if spec.forbid_aborts:
-            out.verdict = VIOLATES
-            out.detail = (
-                f"progressiveness: {out.aborts} abort(s) on a "
-                "no-conflict schedule"
-            )
-        else:
-            out.verdict = "aborts-as-required"
-    return out
+    run = run_cell(backend_name, ScheduleArms(spec, mixed, strict), cycle_limit)
+    label, detail = judge(run)
+    verdict = "conforms"
+    if label:
+        verdict = VIOLATES
+        detail = {"crash": "crash ", "wedged": "wedged: "}.get(label, "") + detail
+    elif run["aborts"] and spec.forbid_aborts:
+        verdict = VIOLATES
+        detail = f"progressiveness: {run['aborts']} abort(s) on a no-conflict schedule"
+    elif run["aborts"]:
+        verdict = "aborts-as-required"
+    return matrix_cell(ScheduleCell, run, backend=backend_name, schedule=schedule,
+                       verdict=verdict, seed=mixed, detail=detail)
 
 
 # ------------------------------------------------------------------ the matrix
-
-
-def run_backend_schedules(
-    backend_name: str,
-    schedules: Sequence[str],
-    seed: int,
-    cycle_limit: int = DEFAULT_CYCLE_LIMIT,
-    strict: bool = True,
-) -> List[ScheduleCell]:
-    """Every requested schedule on one backend, in catalog order."""
-    return [
-        run_schedule_cell(backend_name, schedule, seed, cycle_limit, strict)
-        for schedule in schedules
-    ]
-
-
-def _worker(payload) -> List[ScheduleCell]:
-    backend_name, schedules, seed, cycle_limit, strict = payload
-    return run_backend_schedules(backend_name, schedules, seed, cycle_limit, strict)
 
 
 def run_adversary_matrix(
@@ -233,34 +174,9 @@ def run_adversary_matrix(
     strict: bool = True,
     progress=None,
 ) -> List[ScheduleCell]:
-    """The full matrix; one worker unit per backend, rows in input order.
-
-    Partitioning by backend (not by cell) keeps the row order — and
-    every cell's seed and workload — identical at any ``--jobs`` value,
-    which the determinism tests lock.
-    """
-    payloads = [
-        (name, tuple(schedules), seed, cycle_limit, strict)
-        for name in backends
-    ]
-    jobs = min(max(1, jobs), len(payloads))
-    if jobs == 1:
-        groups = []
-        for payload in payloads:
-            groups.append(_worker(payload))
-            if progress is not None:
-                progress(len(groups), len(payloads))
-    else:
-        import concurrent.futures
-        import multiprocessing
-
-        context = multiprocessing.get_context("fork")
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=jobs, mp_context=context
-        ) as pool:
-            groups = []
-            for group in pool.map(_worker, payloads):
-                groups.append(group)
-                if progress is not None:
-                    progress(len(groups), len(payloads))
-    return [cell for group in groups for cell in group]
+    """The full matrix; one worker unit per backend, rows in input order."""
+    unit = functools.partial(
+        per_backend, run_schedule_cell, tuple(schedules), seed=seed,
+        cycle_limit=cycle_limit, strict=strict,
+    )
+    return fan_out(unit, backends, jobs, progress)

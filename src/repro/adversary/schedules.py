@@ -102,6 +102,17 @@ class ScheduleSpec:
 # ---------------------------------------------------------------- the catalog
 
 
+#: The progressiveness schedules' common prefix: both threads begin and
+#: interleave a window of operations, then thread 0 reaches its commit.
+_INTERLEAVED = (
+    Step.run(0, until="begin"),
+    Step.run(1, until="begin"),
+    Step.run(0, until="ops", count=_WINDOW),
+    Step.run(1, until="ops", count=_WINDOW),
+    Step.run(0, until="commit"),
+)
+
+
 def _prog_read_read(cells, unique):
     a = cells[0]
     bodies = [
@@ -111,12 +122,7 @@ def _prog_read_read(cells, unique):
     script = ScheduleScript(
         name="prog-read-read",
         citation=PROGRESSIVE,
-        steps=(
-            Step.run(0, until="begin"),
-            Step.run(1, until="begin"),
-            Step.run(0, until="ops", count=_WINDOW),
-            Step.run(1, until="ops", count=_WINDOW),
-            Step.run(0, until="commit"),
+        steps=_INTERLEAVED + (
             Step.run(1, until="commit"),
             Step.run(0, until="done"),
             Step.run(1, until="done"),
@@ -134,12 +140,7 @@ def _prog_disjoint(cells, unique):
     script = ScheduleScript(
         name="prog-disjoint",
         citation=PROGRESSIVE,
-        steps=(
-            Step.run(0, until="begin"),
-            Step.run(1, until="begin"),
-            Step.run(0, until="ops", count=_WINDOW),
-            Step.run(1, until="ops", count=_WINDOW),
-            Step.run(0, until="commit"),
+        steps=_INTERLEAVED + (
             Step.run(1, until="commit"),
             Step.run(0, until="done"),
             Step.run(1, until="done"),
@@ -155,15 +156,7 @@ def _prog_wr_conflict(cells, unique):
     script = ScheduleScript(
         name="prog-wr-conflict",
         citation=PROGRESSIVE,
-        steps=(
-            Step.run(0, until="begin"),
-            Step.run(1, until="begin"),
-            Step.run(0, until="ops", count=_WINDOW),
-            Step.run(1, until="ops", count=_WINDOW),
-            Step.run(0, until="commit"),
-            Step.run(1, until="done"),
-            Step.run(0, until="done"),
-        ),
+        steps=_INTERLEAVED + (Step.run(1, until="done"), Step.run(0, until="done")),
     )
     return bodies, script
 

@@ -43,6 +43,32 @@ def _find_root(start: Path) -> Path:
     return start
 
 
+def add_output_arguments(parser: argparse.ArgumentParser) -> None:
+    """The ``--format`` / ``--out`` flags of the analyze and modelcheck CLIs."""
+    parser.add_argument(
+        "--format",
+        choices=["text", "json", "sarif"],
+        default="text",
+        help="output format (default: text)",
+    )
+    parser.add_argument(
+        "--out",
+        default=None,
+        metavar="FILE",
+        help="write the report to FILE instead of stdout",
+    )
+
+
+def emit(args, rendered: str, summary: str) -> None:
+    """Write ``rendered`` to ``--out`` and print ``summary`` (CI logs
+    stay readable), or write it to stdout."""
+    if args.out:
+        Path(args.out).write_text(rendered, encoding="utf-8")
+        print(summary)
+    else:
+        sys.stdout.write(rendered)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness analyze",
@@ -60,18 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="repository root paths are reported relative to "
         "(default: nearest ancestor with pyproject.toml)",
     )
-    parser.add_argument(
-        "--format",
-        choices=["text", "json", "sarif"],
-        default="text",
-        help="output format (default: text)",
-    )
-    parser.add_argument(
-        "--out",
-        default=None,
-        metavar="FILE",
-        help="write the report to FILE instead of stdout",
-    )
+    add_output_arguments(parser)
     parser.add_argument(
         "--baseline",
         default=None,
@@ -231,15 +246,7 @@ def run_analyze_command(argv: Optional[List[str]] = None) -> int:
     else:
         rendered = render_text(report, verbose=args.verbose)
 
-    if args.out:
-        Path(args.out).write_text(rendered, encoding="utf-8")
-        # Keep the one-line summary on stdout so CI logs stay readable.
-        print(
-            f"simcheck: wrote {args.format} report to {args.out} "
-            f"({len(report.errors)} error(s), {len(report.warnings)} "
-            "warning(s))"
-        )
-    else:
-        sys.stdout.write(rendered)
+    emit(args, rendered, f"simcheck: wrote {args.format} report to {args.out} "
+         f"({len(report.errors)} error(s), {len(report.warnings)} warning(s))")
 
     return report.exit_code(strict=args.strict)

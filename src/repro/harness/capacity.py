@@ -224,9 +224,14 @@ def run_capacity_command(argv=None) -> int:
                         help="write the JSON sweep report here")
     args = parser.parse_args(argv)
 
-    sizes = tuple(
-        int(part) for part in args.sizes.split(",") if part.strip()
-    )
+    from repro.harness.runner import comma_list
+
+    sizes = []
+    for part in comma_list(args.sizes):
+        try:
+            sizes.append(int(part))
+        except ValueError:
+            raise SystemExit(f"bad size {part!r} in --sizes; expected a line count") from None
     if not sizes:
         raise SystemExit("no sizes selected")
     kwargs = dict(

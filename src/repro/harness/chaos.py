@@ -37,17 +37,27 @@ unlike salted string hashes), thread bodies draw from
 :class:`~repro.sim.rng.DeterministicRng`, and the scheduler is
 timing-driven.  Re-running a failing cell with the same flags replays
 it bit-identically.
+
+This module also hosts the verification-matrix engine that the chaos,
+``degrade`` and ``adversary`` matrices share: one cell runner
+(:func:`run_cell`), one classification ladder (:func:`judge`), one
+backend-partitioned fork fan-out (:func:`fan_out`) and one set of CLI
+plumbing (:class:`MatrixCli`).  A matrix supplies only a
+:class:`Perturbation` and the labels it gives a run that passes every
+rung.  See docs/ROBUSTNESS.md, "The verification-matrix engine".
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
+import functools
 import itertools
 import json
 import sys
 import zlib
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.chaos import ChaosEngine, ChaosSpec, InvariantChecker, LivelockWatchdog, WatchdogSpec
 from repro.core.descriptor import ConflictMode
@@ -90,17 +100,21 @@ DEFAULT_TXNS = 10
 DEFAULT_CYCLE_LIMIT = 100_000_000
 
 
+def cell_seed(seed: int, backend: str, name: str) -> int:
+    """The replay seed of one (backend, profile or schedule) cell."""
+    return seed ^ zlib.crc32(f"{backend}:{name}".encode())
+
+
 def profile_spec(profile: str, seed: int, backend: str) -> ChaosSpec:
     """The replayable ChaosSpec for one (seed, backend, profile) cell."""
     if profile not in FAULT_PROFILES:
         raise KeyError(f"unknown fault profile {profile!r}; have {sorted(FAULT_PROFILES)}")
-    mixed = seed ^ zlib.crc32(f"{backend}:{profile}".encode())
-    return ChaosSpec(seed=mixed, **FAULT_PROFILES[profile])
+    return ChaosSpec(seed=cell_seed(seed, backend, profile), **FAULT_PROFILES[profile])
 
 
 @dataclasses.dataclass
-class CellResult:
-    """One (backend, profile) cell of the fault matrix."""
+class FaultCell:
+    """One (backend, profile) cell of a fault matrix (chaos or degrade)."""
 
     backend: str
     profile: str
@@ -110,14 +124,12 @@ class CellResult:
     aborts: int = 0
     cycles: int = 0
     aborts_by_kind: Dict[str, int] = dataclasses.field(default_factory=dict)
-    watchdog: Dict[str, int] = dataclasses.field(default_factory=dict)
     #: Per-rung escalation counters from the run's RunResult (watchdog
     #: ladder always; degradation ladder when a controller was armed).
     escalations: Dict[str, int] = dataclasses.field(default_factory=dict)
     #: Windowed commit/abort series from the metrics hub, keyed by
     #: series name (see repro.obs.metrics.TimeSeries.to_dict).
     series: Dict[str, object] = dataclasses.field(default_factory=dict)
-    invariant_checks: int = 0
     detail: str = ""
 
     @property
@@ -126,6 +138,190 @@ class CellResult:
 
     def to_json(self) -> Dict[str, object]:
         return dataclasses.asdict(self)
+
+
+@dataclasses.dataclass
+class CellResult(FaultCell):
+    """One (backend, profile) cell of the chaos fault matrix."""
+
+    watchdog: Dict[str, int] = dataclasses.field(default_factory=dict)
+    invariant_checks: int = 0
+
+
+# -- the verification-matrix engine -------------------------------------------
+
+
+class Perturbation:
+    """What one matrix adds to the shared cell; the engine does the rest.
+
+    :func:`run_cell` calls ``arm`` on the bare machine, ``workload``
+    once the backend is wrapped and the cells are seeded, and
+    ``observe`` after the run, whether or not it raised.
+    """
+
+    #: Processors of the machine.
+    processors = DEFAULT_THREADS
+    #: Shared cells seeded with their index and handed to ``workload``.
+    num_cells = NUM_CELLS
+    mode = ConflictMode.EAGER
+    #: False skips the serializability oracle and the witness replay
+    #: (schedules of plain, untracked operations).
+    oracle = True
+    #: Scheduler hooks; ``arm`` or ``workload`` may set them.
+    watchdog: Optional[LivelockWatchdog] = None
+    director = None
+
+    def arm(self, machine: FlexTMMachine) -> None:
+        """Install this matrix's faults, checkers, probes or controllers."""
+
+    def workload(self, backend: RecordingBackend, cells: List[int]) -> Tuple[List[TxThread], int]:
+        """The threads to run, and the commits a complete run makes."""
+        raise NotImplementedError
+
+    def observe(self, machine: FlexTMMachine, result, run: Dict[str, object]) -> None:
+        """Add this matrix's observations to ``run`` (``result`` is None
+        when the run raised)."""
+
+
+def run_cell(backend_name: str, arms: Perturbation, cycle_limit: int) -> Dict[str, object]:
+    """One instrumented run of any matrix; raw observations, no verdict.
+
+    Shared keys: ``commits``/``aborts``/``cycles``/``aborts_by_kind``,
+    ``expected`` commits, ``error`` / ``error_kind`` when something was
+    raised (``repro`` for structured ReproErrors, ``crash`` for
+    everything else), the oracle verdicts ``serializable`` (with the
+    ``violation`` text when it fails) and ``memory_ok``, and
+    ``opacity``, an armed probe's first finding.  ``arms.observe``
+    adds the rest.
+    """
+    from repro.harness.runner import SYSTEMS
+    from repro.obs.metrics import MetricsHub
+
+    machine = FlexTMMachine(small_test_params(arms.processors))
+    machine.set_metrics(MetricsHub())
+    arms.arm(machine)
+    backend = RecordingBackend(SYSTEMS[backend_name](machine, arms.mode))
+    line = machine.params.line_bytes
+    cells = [machine.allocate(line, line_aligned=True) for _ in range(arms.num_cells)]
+    for index, cell in enumerate(cells):
+        machine.memory.write(cell, index)
+        backend.recorder.note_initial(cell, index)
+    tx_threads, expected = arms.workload(backend, cells)
+    run: Dict[str, object] = {
+        "commits": 0,
+        "aborts": 0,
+        "cycles": 0,
+        "aborts_by_kind": {},
+        "expected": expected,
+        "error": "",
+        "error_kind": "",
+        "serializable": False,
+        "violation": "",
+        "memory_ok": False,
+        "opacity": "",
+    }
+    result = None
+    try:
+        result = Scheduler(
+            machine, tx_threads, watchdog=arms.watchdog, director=arms.director
+        ).run(cycle_limit=cycle_limit)
+    except ReproError as error:
+        run["error"] = f"{type(error).__name__}: {error}"
+        run["error_kind"] = "repro"
+    except Exception as error:  # noqa: BLE001 — a crash IS the finding
+        run["error"] = f"{type(error).__name__}: {error}"
+        run["error_kind"] = "crash"
+    else:
+        run.update(commits=result.commits, aborts=result.aborts, cycles=result.cycles,
+                   aborts_by_kind=dict(result.aborts_by_kind))
+    arms.observe(machine, result, run)
+    # The ladder ranks a raise or a wedge above any oracle verdict, so
+    # the oracles judge only complete runs.
+    if run["error_kind"] or run["commits"] < expected:
+        return run
+    if not arms.oracle:
+        run["serializable"] = run["memory_ok"] = True
+        return run
+    # The committed history must be conflict-serializable, and the
+    # final memory must equal a serial replay of the witness order.
+    try:
+        witness = check_serializable(backend.recorder)
+    except SerializabilityViolation as error:
+        run["violation"] = f"SerializabilityViolation: {error}"
+        return run
+    run["serializable"] = True
+    replay = dict(backend.recorder.initial_values)
+    for txn in witness:
+        replay.update(txn.writes)
+    run["memory_ok"] = all(machine.memory.read(cell) == replay[cell] for cell in cells)
+    return run
+
+
+def judge(run: Dict[str, object]) -> Tuple[str, str]:
+    """The classification ladder every matrix applies to a run.
+
+    Returns ``(label, detail)`` for the first rung that fires — crash,
+    raised ReproError, wedged, serializability, opacity, memory
+    divergence — or ``("", "")`` when the run passes every rung and the
+    matrix picks its own success label.
+    """
+    if run["error_kind"] == "crash":
+        return "crash", str(run["error"])
+    if run["error_kind"] == "repro":
+        return "diagnosed", str(run["error"])
+    if run["commits"] < run["expected"]:
+        return "wedged", f"{run['commits']}/{run['expected']} commits at cycle budget"
+    if not run["serializable"]:
+        return "diagnosed", str(run["violation"])
+    if run["opacity"]:
+        return "diagnosed", str(run["opacity"])
+    if not run["memory_ok"]:
+        return "silent-corruption", "final memory diverges from serial witness replay"
+    return "", ""
+
+
+def matrix_cell(cls, run: Dict[str, object], **fields):
+    """Build a matrix's cell dataclass from ``fields`` plus the
+    observations in ``run`` that the dataclass reports."""
+    names = {field.name for field in dataclasses.fields(cls)} - set(fields)
+    return cls(**fields, **{key: value for key, value in run.items() if key in names})
+
+
+def per_backend(cell: Callable, names: Sequence[str], backend_name: str, **params) -> list:
+    """``cell(backend_name, name, **params)`` for every name: the
+    :func:`fan_out` unit of a matrix whose cells share no baseline."""
+    return [cell(backend_name, name, **params) for name in names]
+
+
+def fan_out(unit: Callable[[str], list], backends: Sequence[str], jobs: int = 1,
+            progress=None) -> list:
+    """Run ``unit(backend)`` for every backend, ``jobs`` at a time in
+    forked workers, and concatenate the cell lists in input order.
+
+    Partitioning by backend (not by cell) keeps the row order, and
+    every cell's seed and workload, identical at any ``jobs`` value.
+    """
+    jobs = min(max(1, jobs), len(backends))
+
+    def collect(groups) -> list:
+        rows = []
+        for done, group in enumerate(groups, 1):
+            rows.extend(group)
+            if progress is not None:
+                progress(done, len(backends))
+        return rows
+
+    if jobs <= 1:
+        return collect(map(unit, backends))
+    import concurrent.futures
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
+        return collect(pool.map(unit, backends))
+
+
+# -- the chaos matrix -----------------------------------------------------------
 
 
 def _bodies(cells, rng, count, unique):
@@ -148,6 +344,50 @@ def _bodies(cells, rng, count, unique):
         yield WorkItem(make(tuple(reads), tuple(writes)))
 
 
+class FaultArms(Perturbation):
+    """A chaos cell: the fault profile ``spec`` with the invariant
+    checker and livelock watchdog, or nothing armed (``spec`` None) for
+    the fault-free baseline; the workload is :func:`_bodies`."""
+
+    def __init__(self, spec: Optional[ChaosSpec], seed: int, threads: int, txns: int):
+        self.spec = spec
+        self.seed = seed
+        self.processors = threads
+        self.txns = txns
+
+    def arm(self, machine):
+        if self.spec is None:
+            return
+        machine.set_chaos(ChaosEngine(self.spec, stats=machine.stats))
+        machine.set_invariants(InvariantChecker())
+        self.watchdog = LivelockWatchdog(WatchdogSpec())
+
+    def workload(self, backend, cells):
+        unique = itertools.count(1000)
+        tx_threads = [
+            TxThread(i, backend, _bodies(cells, DeterministicRng(self.seed * 7919 + i),
+                                         self.txns, unique))
+            for i in range(self.processors)
+        ]
+        return tx_threads, self.processors * self.txns
+
+    def observe(self, machine, result, run):
+        run["escalations"], run["series"] = {}, {}
+        if result is not None:
+            run["escalations"] = dict(result.escalations)
+            run["series"] = {
+                name: machine.metrics.series(name).to_dict()
+                for name in ("tx.commits", "tx.aborts")
+            }
+        run["injected"] = dict(machine.chaos.injected) if machine.chaos else {}
+        run["watchdog"] = {
+            key: getattr(self.watchdog, key)
+            for key in ("escalations", "forced_aborts", "recoveries")
+        } if self.watchdog else {}
+        checker = machine.invariants
+        run["invariant_checks"] = checker.inline_checks + checker.sweeps if checker else 0
+
+
 def _run_cell(
     backend_name: str,
     seed: int,
@@ -156,140 +396,24 @@ def _run_cell(
     txns: int,
     cycle_limit: int,
 ) -> Dict[str, object]:
-    """One instrumented run; returns raw observations (no classification).
-
-    Keys: ``commits``/``aborts``/``cycles``/``aborts_by_kind``,
-    ``injected`` (site.kind -> count), ``watchdog`` telemetry,
-    ``serializable``/``memory_ok`` oracle verdicts, and ``error`` /
-    ``error_kind`` when something was raised (``repro`` for structured
-    ReproErrors, ``crash`` for everything else).
-    """
-    from repro.harness.runner import SYSTEMS
-    from repro.obs.metrics import MetricsHub
-
-    machine = FlexTMMachine(small_test_params(threads))
-    hub = MetricsHub()
-    machine.set_metrics(hub)
-    engine = None
-    if spec is not None:
-        engine = ChaosEngine(spec, stats=machine.stats)
-        machine.set_chaos(engine)
-        machine.set_invariants(InvariantChecker())
-    backend = RecordingBackend(SYSTEMS[backend_name](machine, ConflictMode.EAGER))
-    line = machine.params.line_bytes
-    cells = [machine.allocate(line, line_aligned=True) for _ in range(NUM_CELLS)]
-    for index, cell in enumerate(cells):
-        machine.memory.write(cell, index)
-        backend.recorder.note_initial(cell, index)
-    unique = itertools.count(1000)
-    tx_threads = [
-        TxThread(i, backend, _bodies(cells, DeterministicRng(seed * 7919 + i), txns, unique))
-        for i in range(threads)
-    ]
-    watchdog = LivelockWatchdog(WatchdogSpec()) if spec is not None else None
-    out: Dict[str, object] = {
-        "commits": 0,
-        "aborts": 0,
-        "cycles": 0,
-        "aborts_by_kind": {},
-        "escalations": {},
-        "series": {},
-        "injected": {},
-        "watchdog": {},
-        "invariant_checks": 0,
-        "serializable": False,
-        "memory_ok": False,
-        "error": "",
-        "error_kind": "",
-    }
-    try:
-        result = Scheduler(machine, tx_threads, watchdog=watchdog).run(
-            cycle_limit=cycle_limit
-        )
-        out["commits"] = result.commits
-        out["aborts"] = result.aborts
-        out["cycles"] = result.cycles
-        out["aborts_by_kind"] = dict(result.aborts_by_kind)
-        out["escalations"] = dict(result.escalations)
-        out["series"] = {
-            name: hub.series(name).to_dict()
-            for name in ("tx.commits", "tx.aborts")
-        }
-    except ReproError as error:
-        out["error"] = f"{type(error).__name__}: {error}"
-        out["error_kind"] = "repro"
-    except Exception as error:  # noqa: BLE001 — a crash IS the finding
-        out["error"] = f"{type(error).__name__}: {error}"
-        out["error_kind"] = "crash"
-    if engine is not None:
-        out["injected"] = dict(engine.injected)
-    if watchdog is not None:
-        out["watchdog"] = {
-            "escalations": watchdog.escalations,
-            "forced_aborts": watchdog.forced_aborts,
-            "recoveries": watchdog.recoveries,
-        }
-    if machine.invariants is not None:
-        out["invariant_checks"] = (
-            machine.invariants.inline_checks + machine.invariants.sweeps
-        )
-    if out["error_kind"]:
-        return out
-    # Oracle: the committed history must be conflict-serializable, and
-    # (when every transaction committed) the final memory must equal a
-    # serial replay of the witness order.
-    try:
-        witness = check_serializable(backend.recorder)
-        out["serializable"] = True
-    except SerializabilityViolation as error:
-        out["error"] = f"SerializabilityViolation: {error}"
-        out["error_kind"] = "repro"
-        return out
-    if out["commits"] == threads * txns:
-        replay = dict(backend.recorder.initial_values)
-        for txn in witness:
-            replay.update(txn.writes)
-        out["memory_ok"] = all(
-            machine.memory.read(cell) == replay[cell] for cell in cells
-        )
-    return out
+    """One chaos cell (``spec`` None: the fault-free baseline); the raw
+    observations of :func:`run_cell`."""
+    return run_cell(backend_name, FaultArms(spec, seed, threads, txns), cycle_limit)
 
 
 def _classify(run: Dict[str, object], baseline: Dict[str, object],
-              expected_commits: int) -> CellResult:
-    """Apply the classification ladder to one faulted run."""
-    injected = dict(run["injected"])
-    total = sum(injected.values())
-    classification = "degraded"
-    detail = ""
-    if run["error_kind"] == "crash":
-        classification, detail = "crash", str(run["error"])
-    elif run["error_kind"] == "repro":
-        classification, detail = "diagnosed", str(run["error"])
-    elif run["commits"] < expected_commits:
-        classification = "wedged"
-        detail = f"{run['commits']}/{expected_commits} commits at cycle budget"
-    elif not run["memory_ok"]:
-        classification = "silent-corruption"
-        detail = "final memory diverges from serial witness replay"
-    elif total == 0:
-        classification = "clean"
-    elif (run["commits"], run["aborts"]) == (baseline["commits"], baseline["aborts"]):
-        classification = "masked"
-    return CellResult(
-        backend="", profile="",
-        classification=classification,
-        injected=injected,
-        commits=int(run["commits"]),
-        aborts=int(run["aborts"]),
-        cycles=int(run["cycles"]),
-        aborts_by_kind=dict(run["aborts_by_kind"]),
-        watchdog=dict(run["watchdog"]),
-        escalations=dict(run["escalations"]),
-        series=dict(run["series"]),
-        invariant_checks=int(run["invariant_checks"]),
-        detail=detail,
-    )
+              backend: str = "", profile: str = "") -> CellResult:
+    """The shared ladder, then chaos's own rungs: clean, masked, degraded."""
+    classification, detail = judge(run)
+    if not classification:
+        if not sum(run["injected"].values()):
+            classification = "clean"
+        elif (run["commits"], run["aborts"]) == (baseline["commits"], baseline["aborts"]):
+            classification = "masked"
+        else:
+            classification = "degraded"
+    return matrix_cell(CellResult, run, backend=backend, profile=profile,
+                       classification=classification, detail=detail)
 
 
 def run_backend_matrix(
@@ -301,38 +425,24 @@ def run_backend_matrix(
     cycle_limit: int = DEFAULT_CYCLE_LIMIT,
 ) -> List[CellResult]:
     """Baseline one backend, then run and classify every fault profile."""
-    expected = threads * txns
     baseline = _run_cell(backend_name, seed, None, threads, txns, cycle_limit)
-    rows: List[CellResult] = []
-    if baseline["error_kind"] or baseline["commits"] < expected or not baseline["memory_ok"]:
-        detail = str(baseline["error"]) or (
-            f"{baseline['commits']}/{expected} commits"
-            if baseline["commits"] < expected
-            else "final memory diverges from serial witness replay"
+    failed, detail = judge(baseline)
+    if failed:
+        return [CellResult(
+            backend=backend_name, profile="baseline",
+            classification="crash" if failed == "crash" else "silent-corruption",
+            injected={}, commits=int(baseline["commits"]),
+            aborts=int(baseline["aborts"]), cycles=int(baseline["cycles"]),
+            detail=f"fault-free baseline failed: {detail}",
+        )]
+    return [
+        _classify(
+            _run_cell(backend_name, seed, profile_spec(profile, seed, backend_name),
+                      threads, txns, cycle_limit),
+            baseline, backend_name, profile,
         )
-        rows.append(
-            CellResult(
-                backend=backend_name, profile="baseline",
-                classification="crash" if baseline["error_kind"] == "crash" else "silent-corruption",
-                injected={}, commits=int(baseline["commits"]),
-                aborts=int(baseline["aborts"]), cycles=int(baseline["cycles"]),
-                detail=f"fault-free baseline failed: {detail}",
-            )
-        )
-        return rows
-    for profile in profiles:
-        spec = profile_spec(profile, seed, backend_name)
-        run = _run_cell(backend_name, seed, spec, threads, txns, cycle_limit)
-        cell = _classify(run, baseline, expected)
-        cell.backend = backend_name
-        cell.profile = profile
-        rows.append(cell)
-    return rows
-
-
-def _worker(payload) -> List[CellResult]:
-    backend_name, profiles, seed, threads, txns, cycle_limit = payload
-    return run_backend_matrix(backend_name, profiles, seed, threads, txns, cycle_limit)
+        for profile in profiles
+    ]
 
 
 def run_chaos_matrix(
@@ -346,60 +456,21 @@ def run_chaos_matrix(
     progress=None,
 ) -> List[CellResult]:
     """The full matrix; one worker unit per backend, rows in input order."""
-    payloads = [
-        (name, tuple(profiles), seed, threads, txns, cycle_limit)
-        for name in backends
-    ]
-    jobs = min(max(1, jobs), len(payloads))
-    if jobs == 1:
-        groups = []
-        for payload in payloads:
-            groups.append(_worker(payload))
-            if progress is not None:
-                progress(len(groups), len(payloads))
-    else:
-        import concurrent.futures
-        import multiprocessing
-
-        context = multiprocessing.get_context("fork")
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=jobs, mp_context=context
-        ) as pool:
-            groups = []
-            for group in pool.map(_worker, payloads):
-                groups.append(group)
-                if progress is not None:
-                    progress(len(groups), len(payloads))
-    return [cell for group in groups for cell in group]
+    unit = functools.partial(
+        run_backend_matrix, profiles=tuple(profiles), seed=seed, threads=threads,
+        txns=txns, cycle_limit=cycle_limit,
+    )
+    return fan_out(unit, backends, jobs, progress)
 
 
 # -- CLI ----------------------------------------------------------------------
 
 
-def _comma_list(text: str) -> List[str]:
-    return [part.strip() for part in text.split(",") if part.strip()]
-
-
 def resolve_backends(names: Sequence[str]) -> List[str]:
-    """Case-insensitively canonicalize backend names (SystemExit on junk)."""
-    from repro.harness.runner import SYSTEMS
+    """Canonicalize backend names (SystemExit on junk or nothing)."""
+    from repro.harness.runner import SYSTEMS, resolve_names
 
-    lowered = {key.lower(): key for key in SYSTEMS}
-    backends = []
-    for name in names:
-        key = lowered.get(name.lower())
-        if key is None:
-            raise SystemExit(
-                f"unknown backend {name!r}; choose from {', '.join(sorted(SYSTEMS))}"
-            )
-        backends.append(key)
-    if not backends:
-        # An empty filter (e.g. ``--backends ""``) must not silently
-        # produce a zero-cell matrix that trivially "passes".
-        raise SystemExit(
-            f"no backends selected; choose from {', '.join(sorted(SYSTEMS))}"
-        )
-    return backends
+    return resolve_names(names, sorted(SYSTEMS), "backend")
 
 
 def render_backend_list() -> str:
@@ -412,74 +483,167 @@ def render_backend_list() -> str:
     return "\n".join(lines) + "\n"
 
 
-def resolve_profiles(names: Sequence[str]) -> List[str]:
-    """Validate fault-profile names (SystemExit on junk)."""
-    profiles = []
-    for name in names:
-        if name not in FAULT_PROFILES:
-            raise SystemExit(
-                f"unknown profile {name!r}; choose from {', '.join(FAULT_PROFILES)}"
-            )
-        profiles.append(name)
-    return profiles
+def render_table(header: str, rows: Sequence, line: Callable[[object], str]) -> str:
+    """A matrix report table: header, rule, one ``line`` per cell."""
+    lines = [header, "-" * len(header)]
+    lines += [line(cell) + ("" if cell.ok else "  <-- FAIL") for cell in rows]
+    return "\n".join(lines) + "\n"
 
 
 def render_matrix(rows: List[CellResult]) -> str:
     """Human-readable report table."""
-    lines = []
-    header = f"{'backend':<10} {'profile':<10} {'class':<17} {'inj':>5} {'commits':>7} {'aborts':>7}  detail"
-    lines.append(header)
-    lines.append("-" * len(header))
-    for cell in rows:
-        marker = "" if cell.ok else "  <-- FAIL"
-        lines.append(
+    return render_table(
+        f"{'backend':<10} {'profile':<10} {'class':<17} {'inj':>5} {'commits':>7} {'aborts':>7}  detail",
+        rows,
+        lambda cell: (
             f"{cell.backend:<10} {cell.profile:<10} {cell.classification:<17} "
             f"{sum(cell.injected.values()):>5} {cell.commits:>7} {cell.aborts:>7}  "
-            f"{cell.detail}{marker}"
+            f"{cell.detail}"
+        ),
+    )
+
+
+@dataclasses.dataclass(frozen=True)
+class MatrixCli:
+    """The CLI plumbing the chaos, degrade and adversary matrices share:
+    the common flags, progress lines, counts summary, JSON report and
+    the closing verdict line."""
+
+    #: Subcommand name; prefixes every line the CLI prints.
+    name: str
+    #: The matrix's second axis ("profile" or "schedule") and its names.
+    axis: str
+    choices: Sequence[str]
+    #: Help text naming the axis (``comma-separated <axis_help>``).
+    axis_help: str
+    #: The cell attribute holding its label.
+    label: str
+    #: ``run(backends, names, seed, jobs=, cycle_limit=, progress=,
+    #: **params)`` returns the matrix's rows; ``render`` tabulates them.
+    run: Callable[..., list]
+    render: Callable[[list], str]
+    #: The closing line when no cell fails.
+    passed: str
+    #: The FAIL line names a failing cell's detail (when it has one)
+    #: instead of its label.
+    fail_detail: bool = False
+
+    def parser(self, description: str, cycle_limit: int) -> argparse.ArgumentParser:
+        """An argument parser carrying the shared flags."""
+        from repro.harness.runner import SYSTEMS
+
+        parser = argparse.ArgumentParser(
+            prog=f"python -m repro.harness {self.name}", description=description,
         )
-    return "\n".join(lines) + "\n"
+        parser.add_argument("--seed", type=int, default=1,
+                            help="master seed for the matrix (default 1)")
+        for axis, choices, noun in (("backend", SYSTEMS, "backend names"),
+                                    (self.axis, self.choices, self.axis_help)):
+            parser.add_argument(f"--{axis}s", default=",".join(choices),
+                                help=f"comma-separated {noun} (default: all)")
+            parser.add_argument(f"--{axis}", action="append", default=None,
+                                metavar="NAME", dest=axis,
+                                help=f"run a single {axis} (repeatable; "
+                                f"overrides --{axis}s)")
+        parser.add_argument("--cycles", type=int, default=cycle_limit,
+                            help="cycle budget per cell (wedge detector)")
+        parser.add_argument("--jobs", type=int, default=1,
+                            help="worker processes (0 = one per CPU; 1 = serial)")
+        parser.add_argument("--report", metavar="FILE",
+                            help=f"write the JSON {self.name}-matrix report here")
+        parser.add_argument("--quiet", action="store_true",
+                            help="suppress progress on stderr")
+        parser.add_argument("--list-backends", action="store_true",
+                            help="list the TM backends and exit")
+        return parser
+
+    def report(self, rows: Sequence, seed: int, backends: Sequence[str],
+               names: Sequence[str], cycle_limit: int, **extra) -> Dict[str, object]:
+        """The JSON report document; ``extra`` holds matrix-specific keys."""
+        counts = collections.Counter(getattr(cell, self.label) for cell in rows)
+        return {
+            "seed": seed,
+            "backends": list(backends),
+            f"{self.axis}s": list(names),
+            "cycle_limit": cycle_limit,
+            "counts": dict(counts),
+            "ok": all(cell.ok for cell in rows),
+            "cells": [cell.to_json() for cell in rows],
+            **extra,
+        }
+
+    def main(self, args, params: Dict[str, object], setting: str = "", **extra) -> int:
+        """Resolve the selection, run the matrix with ``params``, and
+        print, report (with ``extra`` keys) and judge its rows."""
+        from repro.harness.runner import comma_list, resolve_names
+
+        if args.list_backends:
+            sys.stdout.write(render_backend_list())
+            return 0
+        backends = resolve_backends(args.backend or comma_list(args.backends))
+        names = resolve_names(
+            getattr(args, self.axis) or comma_list(getattr(args, f"{self.axis}s")),
+            self.choices, self.axis,
+        )
+        jobs = min(effective_jobs(args.jobs), len(backends))
+        progress = None
+        if not args.quiet:
+            sys.stderr.write(
+                f"{self.name}: seed {args.seed}, {len(backends)} backend(s) x "
+                f"{len(names)} {self.axis}(s){setting}, {jobs} worker(s)\n"
+            )
+
+            def progress(done, total):
+                sys.stderr.write(f"{self.name}: {done}/{total} backends done\n")
+
+        rows = self.run(backends, names, args.seed, jobs=jobs, cycle_limit=args.cycles,
+                        progress=progress, **params)
+        sys.stdout.write(self.render(rows))
+        document = self.report(rows, args.seed, backends, names, args.cycles, **extra)
+        summary = ", ".join(f"{k}={v}" for k, v in sorted(document["counts"].items()))
+        sys.stdout.write(f"\n{self.name}: {len(rows)} cells: {summary}\n")
+        if args.report:
+            with open(args.report, "w") as handle:
+                json.dump(document, handle, indent=2, sort_keys=True)
+                handle.write("\n")
+        failures = [cell for cell in rows if not cell.ok]
+        if failures:
+            sys.stdout.write(
+                f"{self.name}: FAIL — "
+                + "; ".join(
+                    f"{c.backend}/{getattr(c, self.axis)}: "
+                    f"{(c.detail if self.fail_detail else '') or getattr(c, self.label)}"
+                    for c in failures
+                )
+                + "\n"
+            )
+            return 1
+        sys.stdout.write(f"{self.name}: {self.passed}\n")
+        return 0
+
+
+CLI = MatrixCli(
+    name="chaos", axis="profile", choices=tuple(FAULT_PROFILES),
+    axis_help="fault profiles", label="classification", run=run_chaos_matrix,
+    render=render_matrix,
+    passed="every injected fault was masked, degraded gracefully, or diagnosed",
+)
 
 
 def run_chaos_command(argv=None) -> int:
     """``python -m repro.harness chaos`` — run the seeded fault matrix."""
-    from repro.harness.runner import SYSTEMS
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.harness chaos",
-        description="Run every TM backend under seeded fault injection "
+    parser = CLI.parser(
+        "Run every TM backend under seeded fault injection "
         "with invariants, watchdog, and serializability oracle armed; "
         "fail on any crash, wedge, or silent corruption.",
+        DEFAULT_CYCLE_LIMIT,
     )
-    parser.add_argument("--seed", type=int, default=1,
-                        help="master seed for the fault matrix (default 1)")
-    parser.add_argument("--backends", default=",".join(SYSTEMS),
-                        help="comma-separated backend names (default: all)")
-    parser.add_argument("--backend", action="append", default=None,
-                        metavar="NAME", dest="backend",
-                        help="run a single backend (repeatable; overrides "
-                        "--backends)")
-    parser.add_argument("--profiles", default=",".join(FAULT_PROFILES),
-                        help="comma-separated fault profiles (default: all)")
-    parser.add_argument("--profile", action="append", default=None,
-                        metavar="NAME", dest="profile",
-                        help="run a single fault profile (repeatable; "
-                        "overrides --profiles)")
     parser.add_argument("--threads", type=int, default=DEFAULT_THREADS,
                         help="transactional threads per run")
     parser.add_argument("--txns", type=int, default=DEFAULT_TXNS,
                         help="transactions per thread per run")
-    parser.add_argument("--cycles", type=int, default=DEFAULT_CYCLE_LIMIT,
-                        help="cycle budget per run (wedge detector)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes (0 = one per CPU; 1 = serial)")
-    parser.add_argument("--report", metavar="FILE",
-                        help="write the JSON fault-matrix report here")
-    parser.add_argument("--quiet", action="store_true",
-                        help="suppress progress on stderr")
     parser.add_argument("--list-profiles", action="store_true",
                         help="list the fault profiles and exit")
-    parser.add_argument("--list-backends", action="store_true",
-                        help="list the TM backends and exit")
     args = parser.parse_args(argv)
 
     if args.list_profiles:
@@ -488,57 +652,5 @@ def run_chaos_command(argv=None) -> int:
             settings = ", ".join(f"{k}={v}" for k, v in sorted(knobs.items()))
             sys.stdout.write(f"  {name:<10} {settings}\n")
         return 0
-    if args.list_backends:
-        sys.stdout.write(render_backend_list())
-        return 0
-
-    backends = resolve_backends(args.backend or _comma_list(args.backends))
-    profiles = resolve_profiles(args.profile or _comma_list(args.profiles))
-
-    jobs = min(effective_jobs(args.jobs), len(backends))
-    if not args.quiet:
-        sys.stderr.write(
-            f"chaos: seed {args.seed}, {len(backends)} backend(s) x "
-            f"{len(profiles)} profile(s), {jobs} worker(s)\n"
-        )
-    progress = None
-    if not args.quiet:
-        def progress(done, total):
-            sys.stderr.write(f"chaos: {done}/{total} backends done\n")
-
-    rows = run_chaos_matrix(
-        backends, profiles, args.seed, jobs=jobs, threads=args.threads,
-        txns=args.txns, cycle_limit=args.cycles, progress=progress,
-    )
-    sys.stdout.write(render_matrix(rows))
-    counts: Dict[str, int] = {}
-    for cell in rows:
-        counts[cell.classification] = counts.get(cell.classification, 0) + 1
-    failures = [cell for cell in rows if not cell.ok]
-    summary = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
-    sys.stdout.write(f"\nchaos: {len(rows)} cells: {summary}\n")
-    if args.report:
-        document = {
-            "seed": args.seed,
-            "backends": backends,
-            "profiles": profiles,
-            "threads": args.threads,
-            "txns": args.txns,
-            "cycle_limit": args.cycles,
-            "counts": counts,
-            "ok": not failures,
-            "cells": [cell.to_json() for cell in rows],
-        }
-        with open(args.report, "w") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    if failures:
-        sys.stdout.write(
-            "chaos: FAIL — "
-            + "; ".join(f"{c.backend}/{c.profile}: {c.classification}" for c in failures)
-            + "\n"
-        )
-        return 1
-    sys.stdout.write("chaos: every injected fault was masked, degraded "
-                     "gracefully, or diagnosed\n")
-    return 0
+    sizes = dict(threads=args.threads, txns=args.txns)
+    return CLI.main(args, sizes, **sizes)

@@ -34,84 +34,76 @@ same crc32-mixed ones the chaos harness replays.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
-import itertools
-import json
-import sys
+import functools
 from typing import Dict, List, Sequence
 
-from repro.chaos import ChaosEngine, InvariantChecker, LivelockWatchdog, WatchdogSpec
 from repro.core.descriptor import ConflictMode
-from repro.core.machine import FlexTMMachine
-from repro.errors import ReproError
 from repro.harness.chaos import (
     DEFAULT_CYCLE_LIMIT,
     DEFAULT_THREADS,
     DEFAULT_TXNS,
+    FAILING as FAILING,  # re-exported: the labels that fail the harness
     FAULT_PROFILES,
-    NUM_CELLS,
-    _bodies,
-    _comma_list,
+    FaultArms,
+    FaultCell,
+    MatrixCli,
+    fan_out,
+    judge,
+    matrix_cell,
+    per_backend,
     profile_spec,
-    render_backend_list,
-    resolve_backends,
-    resolve_profiles,
+    render_table,
+    run_cell,
 )
-from repro.harness.parallel import effective_jobs
-from repro.params import small_test_params
 from repro.resilience import DegradeSpec, ResilienceController
-from repro.runtime.scheduler import Scheduler
-from repro.runtime.txthread import TxThread
-from repro.sim.rng import DeterministicRng
-from repro.verify.history import (
-    RecordingBackend,
-    SerializabilityViolation,
-    check_serializable,
-)
-
-#: Classifications that fail the harness (exit status 1).
-FAILING = ("crash", "wedged", "silent-corruption")
 
 #: The harness ladder is tighter than the library default so every
 #: profile actually exercises the rungs on a small workload.
 HARNESS_SPEC = DegradeSpec(boost_after=1, eager_after=2, irrevocable_after=3)
 
+#: Escalation counters that mean the ladder fired.
+LADDER_KEYS = ("boosts", "policy_flips", "sig_rotations", "irrevocable_grants")
+
 
 @dataclasses.dataclass
-class DegradeCell:
+class DegradeCell(FaultCell):
     """One (backend, profile) cell of the ladder-armed fault matrix."""
 
-    backend: str
-    profile: str
-    classification: str
-    injected: Dict[str, int]
-    commits: int = 0
-    aborts: int = 0
-    cycles: int = 0
-    #: Abort counts keyed by conflict kind (cause fidelity; mirrors the
-    #: chaos report so every harness schema carries the same keys).
-    aborts_by_kind: Dict[str, int] = dataclasses.field(default_factory=dict)
     #: Commits grouped by the committing thread's ladder rung.
     commits_by_rung: Dict[str, int] = dataclasses.field(default_factory=dict)
-    #: Escalation counters from RunResult (ladder + watchdog).
-    escalations: Dict[str, int] = dataclasses.field(default_factory=dict)
-    #: Windowed commit/abort series from the metrics hub, keyed by
-    #: series name (see repro.obs.metrics.TimeSeries.to_dict).
-    series: Dict[str, object] = dataclasses.field(default_factory=dict)
     #: Cycles from first escalation to the recovering commit.
     recovery: Dict[str, int] = dataclasses.field(default_factory=dict)
-    detail: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.classification not in FAILING
-
-    def to_json(self) -> Dict[str, object]:
-        return dataclasses.asdict(self)
 
 
-def _run_degrade_cell(
+class LadderArms(FaultArms):
+    """A chaos cell with a :class:`ResilienceController` armed too."""
+
+    def __init__(self, chaos, seed, spec: DegradeSpec, mode: ConflictMode, threads, txns):
+        super().__init__(chaos, seed, threads, txns)
+        self.controller = ResilienceController(spec)
+        self.mode = mode
+
+    def arm(self, machine):
+        super().arm(machine)
+        machine.set_resilience(self.controller)
+
+    def workload(self, backend, cells):
+        self.controller.bind_manager(getattr(backend.inner, "manager", None))
+        return super().workload(backend, cells)
+
+    def observe(self, machine, result, run):
+        super().observe(machine, result, run)
+        run["commits_by_rung"] = dict(self.controller.commits_by_rung)
+        recovery = machine.stats.histogram("resilience.recovery_cycles")
+        run["recovery"] = {
+            "count": recovery.count,
+            "mean": int(recovery.mean),
+            "max": recovery.maximum,
+        }
+
+
+def run_degrade_cell(
     backend_name: str,
     profile: str,
     seed: int,
@@ -121,101 +113,15 @@ def _run_degrade_cell(
     txns: int,
     cycle_limit: int,
 ) -> DegradeCell:
-    """One ladder-armed instrumented run, classified."""
-    from repro.harness.runner import SYSTEMS
-    from repro.obs.metrics import MetricsHub
-
-    machine = FlexTMMachine(small_test_params(threads))
-    hub = MetricsHub()
-    machine.set_metrics(hub)
-    chaos = ChaosEngine(profile_spec(profile, seed, backend_name), stats=machine.stats)
-    machine.set_chaos(chaos)
-    machine.set_invariants(InvariantChecker())
-    controller = ResilienceController(spec)
-    machine.set_resilience(controller)
-    backend = RecordingBackend(SYSTEMS[backend_name](machine, mode))
-    controller.bind_manager(getattr(backend.inner, "manager", None))
-    line = machine.params.line_bytes
-    cells = [machine.allocate(line, line_aligned=True) for _ in range(NUM_CELLS)]
-    for index, cell in enumerate(cells):
-        machine.memory.write(cell, index)
-        backend.recorder.note_initial(cell, index)
-    unique = itertools.count(1000)
-    tx_threads = [
-        TxThread(i, backend, _bodies(cells, DeterministicRng(seed * 7919 + i), txns, unique))
-        for i in range(threads)
-    ]
-    expected = threads * txns
-    out = DegradeCell(
-        backend=backend_name, profile=profile,
-        classification="clean", injected={},
-    )
-    error = ""
-    error_kind = ""
-    try:
-        result = Scheduler(
-            machine, tx_threads, watchdog=LivelockWatchdog(WatchdogSpec())
-        ).run(cycle_limit=cycle_limit)
-        out.commits = result.commits
-        out.aborts = result.aborts
-        out.cycles = result.cycles
-        out.aborts_by_kind = dict(result.aborts_by_kind)
-        out.escalations = dict(result.escalations)
-        out.series = {
-            name: hub.series(name).to_dict()
-            for name in ("tx.commits", "tx.aborts")
-        }
-    except ReproError as exc:
-        error, error_kind = f"{type(exc).__name__}: {exc}", "repro"
-    except Exception as exc:  # noqa: BLE001 — a crash IS the finding
-        error, error_kind = f"{type(exc).__name__}: {exc}", "crash"
-    out.injected = dict(chaos.injected)
-    out.commits_by_rung = dict(controller.commits_by_rung)
-    recovery = machine.stats.histogram("resilience.recovery_cycles")
-    out.recovery = {
-        "count": recovery.count,
-        "mean": int(recovery.mean),
-        "max": recovery.maximum,
-    }
-    if error_kind == "crash":
-        out.classification, out.detail = "crash", error
-        return out
-    if error_kind == "repro":
-        out.classification, out.detail = "diagnosed", error
-        return out
-    if out.commits < expected:
-        out.classification = "wedged"
-        out.detail = f"{out.commits}/{expected} commits at cycle budget"
-        return out
-    try:
-        witness = check_serializable(backend.recorder)
-    except SerializabilityViolation as exc:
-        out.classification = "diagnosed"
-        out.detail = f"SerializabilityViolation: {exc}"
-        return out
-    replay = dict(backend.recorder.initial_values)
-    for txn in witness:
-        replay.update(txn.writes)
-    if not all(machine.memory.read(cell) == replay[cell] for cell in cells):
-        out.classification = "silent-corruption"
-        out.detail = "final memory diverges from serial witness replay"
-        return out
-    ladder_keys = (
-        "boosts", "policy_flips", "sig_rotations", "irrevocable_grants",
-    )
-    if any(out.escalations.get(key) for key in ladder_keys):
-        out.classification = "recovered"
-    return out
-
-
-def _worker(payload) -> List[DegradeCell]:
-    backend_name, profiles, seed, spec, mode, threads, txns, cycle_limit = payload
-    return [
-        _run_degrade_cell(
-            backend_name, profile, seed, spec, mode, threads, txns, cycle_limit
-        )
-        for profile in profiles
-    ]
+    """One ladder-armed cell, classified."""
+    arms = LadderArms(profile_spec(profile, seed, backend_name), seed, spec, mode, threads, txns)
+    run = run_cell(backend_name, arms, cycle_limit)
+    classification, detail = judge(run)
+    if not classification:
+        fired = any(run["escalations"].get(key) for key in LADDER_KEYS)
+        classification = "recovered" if fired else "clean"
+    return matrix_cell(DegradeCell, run, backend=backend_name, profile=profile,
+                       classification=classification, detail=detail)
 
 
 def run_degrade_matrix(
@@ -231,31 +137,11 @@ def run_degrade_matrix(
     progress=None,
 ) -> List[DegradeCell]:
     """The full ladder-armed matrix; one worker unit per backend."""
-    payloads = [
-        (name, tuple(profiles), seed, spec, mode, threads, txns, cycle_limit)
-        for name in backends
-    ]
-    jobs = min(max(1, jobs), len(payloads))
-    if jobs == 1:
-        groups = []
-        for payload in payloads:
-            groups.append(_worker(payload))
-            if progress is not None:
-                progress(len(groups), len(payloads))
-    else:
-        import concurrent.futures
-        import multiprocessing
-
-        context = multiprocessing.get_context("fork")
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=jobs, mp_context=context
-        ) as pool:
-            groups = []
-            for group in pool.map(_worker, payloads):
-                groups.append(group)
-                if progress is not None:
-                    progress(len(groups), len(payloads))
-    return [cell for group in groups for cell in group]
+    unit = functools.partial(
+        per_backend, run_degrade_cell, tuple(profiles), seed=seed, spec=spec, mode=mode,
+        threads=threads, txns=txns, cycle_limit=cycle_limit,
+    )
+    return fan_out(unit, backends, jobs, progress)
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -263,53 +149,43 @@ def run_degrade_matrix(
 
 def render_degrade_matrix(rows: List[DegradeCell]) -> str:
     """Human-readable report: per-rung commits and recovery latency."""
-    lines = []
-    header = (
-        f"{'backend':<10} {'profile':<10} {'class':<17} {'inj':>5} "
-        f"{'commits':>7} {'aborts':>7} {'rungs h/b/e/i':>14} {'recov(max)':>11}  detail"
-    )
-    lines.append(header)
-    lines.append("-" * len(header))
-    for cell in rows:
-        marker = "" if cell.ok else "  <-- FAIL"
+
+    def line(cell: DegradeCell) -> str:
         rungs = "/".join(
             str(cell.commits_by_rung.get(rung, 0))
             for rung in ("healthy", "boosted", "eager", "irrevocable")
         )
-        lines.append(
+        return (
             f"{cell.backend:<10} {cell.profile:<10} {cell.classification:<17} "
             f"{sum(cell.injected.values()):>5} {cell.commits:>7} {cell.aborts:>7} "
             f"{rungs:>14} {cell.recovery.get('max', 0):>11}  "
-            f"{cell.detail}{marker}"
+            f"{cell.detail}"
         )
-    return "\n".join(lines) + "\n"
+
+    return render_table(
+        f"{'backend':<10} {'profile':<10} {'class':<17} {'inj':>5} "
+        f"{'commits':>7} {'aborts':>7} {'rungs h/b/e/i':>14} {'recov(max)':>11}  detail",
+        rows, line,
+    )
+
+
+CLI = MatrixCli(
+    name="degrade", axis="profile", choices=tuple(FAULT_PROFILES),
+    axis_help="fault profiles", label="classification", run=run_degrade_matrix,
+    render=render_degrade_matrix,
+    passed="forward progress held on every cell (no wedges, no corruption)",
+)
 
 
 def run_degrade_command(argv=None) -> int:
     """``python -m repro.harness degrade`` — ladder-armed fault matrix."""
-    from repro.harness.runner import SYSTEMS
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.harness degrade",
-        description="Run every TM backend under seeded fault injection "
+    parser = CLI.parser(
+        "Run every TM backend under seeded fault injection "
         "with the adaptive degradation ladder armed; report commits per "
         "rung and time-to-recovery; fail on any crash, wedge, or silent "
         "corruption (the forward-progress guarantee).",
+        DEFAULT_CYCLE_LIMIT,
     )
-    parser.add_argument("--seed", type=int, default=1,
-                        help="master seed for the fault matrix (default 1)")
-    parser.add_argument("--backends", default=",".join(SYSTEMS),
-                        help="comma-separated backend names (default: all)")
-    parser.add_argument("--backend", action="append", default=None,
-                        metavar="NAME", dest="backend",
-                        help="run a single backend (repeatable; overrides "
-                        "--backends)")
-    parser.add_argument("--profiles", default=",".join(FAULT_PROFILES),
-                        help="comma-separated fault profiles (default: all)")
-    parser.add_argument("--profile", action="append", default=None,
-                        metavar="NAME", dest="profile",
-                        help="run a single fault profile (repeatable; "
-                        "overrides --profiles)")
     parser.add_argument("--mode", choices=("eager", "lazy"), default="lazy",
                         help="baseline conflict mode (lazy makes the "
                         "EAGER rung's policy flip observable; default lazy)")
@@ -317,8 +193,6 @@ def run_degrade_command(argv=None) -> int:
                         help="transactional threads per run")
     parser.add_argument("--txns", type=int, default=DEFAULT_TXNS,
                         help="transactions per thread per run")
-    parser.add_argument("--cycles", type=int, default=DEFAULT_CYCLE_LIMIT,
-                        help="cycle budget per run (wedge detector)")
     parser.add_argument("--boost-after", type=int,
                         default=HARNESS_SPEC.boost_after,
                         help="abort streak before back-off boost")
@@ -328,77 +202,17 @@ def run_degrade_command(argv=None) -> int:
     parser.add_argument("--irrevocable-after", type=int,
                         default=HARNESS_SPEC.irrevocable_after,
                         help="abort streak before irrevocability")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes (0 = one per CPU; 1 = serial)")
-    parser.add_argument("--report", metavar="FILE",
-                        help="write the JSON degrade-matrix report here")
-    parser.add_argument("--quiet", action="store_true",
-                        help="suppress progress on stderr")
-    parser.add_argument("--list-backends", action="store_true",
-                        help="list the TM backends and exit")
     args = parser.parse_args(argv)
 
-    if args.list_backends:
-        sys.stdout.write(render_backend_list())
-        return 0
-
-    backends = resolve_backends(args.backend or _comma_list(args.backends))
-    profiles = resolve_profiles(args.profile or _comma_list(args.profiles))
     spec = dataclasses.replace(
         HARNESS_SPEC,
         boost_after=args.boost_after,
         eager_after=args.eager_after,
         irrevocable_after=args.irrevocable_after,
     )
-    mode = ConflictMode.EAGER if args.mode == "eager" else ConflictMode.LAZY
-
-    jobs = min(effective_jobs(args.jobs), len(backends))
-    if not args.quiet:
-        sys.stderr.write(
-            f"degrade: seed {args.seed}, {len(backends)} backend(s) x "
-            f"{len(profiles)} profile(s), mode {args.mode}, {jobs} worker(s)\n"
-        )
-    progress = None
-    if not args.quiet:
-        def progress(done, total):
-            sys.stderr.write(f"degrade: {done}/{total} backends done\n")
-
-    rows = run_degrade_matrix(
-        backends, profiles, args.seed, spec=spec, mode=mode, jobs=jobs,
-        threads=args.threads, txns=args.txns, cycle_limit=args.cycles,
-        progress=progress,
+    sizes = dict(threads=args.threads, txns=args.txns)
+    return CLI.main(
+        args, dict(spec=spec, mode=ConflictMode(args.mode), **sizes),
+        setting=f", mode {args.mode}",
+        mode=args.mode, spec=dataclasses.asdict(spec), **sizes,
     )
-    sys.stdout.write(render_degrade_matrix(rows))
-    counts: Dict[str, int] = {}
-    for cell in rows:
-        counts[cell.classification] = counts.get(cell.classification, 0) + 1
-    failures = [cell for cell in rows if not cell.ok]
-    summary = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
-    sys.stdout.write(f"\ndegrade: {len(rows)} cells: {summary}\n")
-    if args.report:
-        document = {
-            "seed": args.seed,
-            "backends": list(backends),
-            "profiles": list(profiles),
-            "mode": args.mode,
-            "threads": args.threads,
-            "txns": args.txns,
-            "cycle_limit": args.cycles,
-            "spec": dataclasses.asdict(spec),
-            "counts": counts,
-            "ok": not failures,
-            "cells": [cell.to_json() for cell in rows],
-        }
-        with open(args.report, "w") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    if failures:
-        sys.stdout.write(
-            "degrade: FAIL — "
-            + "; ".join(f"{c.backend}/{c.profile}: {c.classification}" for c in failures)
-            + "\n"
-        )
-        return 1
-    sys.stdout.write("degrade: forward progress held on every cell "
-                     "(no wedges, no corruption)\n")
-    return 0

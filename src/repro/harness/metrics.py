@@ -292,24 +292,16 @@ def run_metrics_command(argv=None) -> int:
         return _run_compare(argv[1:])
     # Imported here, not at module top: repro.harness.runner builds the
     # machine layer, and keeping it lazy makes `--help` instant.
-    from repro.core.descriptor import ConflictMode
-    from repro.harness.runner import SYSTEMS, ExperimentConfig, run_experiment
-    from repro.harness.trace import _resolve
+    from repro.harness.runner import run_experiment
+    from repro.harness.trace import add_run_arguments, run_config
     from repro.resilience import DegradeSpec
-    from repro.workloads import WORKLOADS
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness metrics",
         description="Run one metrics-armed experiment; write the "
                     "windowed-series artifact and dashboard.",
     )
-    parser.add_argument("workload", help="workload name (case-insensitive)")
-    parser.add_argument("system", help="TM system name (case-insensitive)")
-    parser.add_argument("--threads", type=int, default=4)
-    parser.add_argument("--cycles", type=int, default=0,
-                        help="cycle budget (0 = default / REPRO_CYCLES)")
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--mode", choices=["eager", "lazy"], default="eager")
+    add_run_arguments(parser)
     parser.add_argument("--window", type=int, default=2048,
                         help="time-series window width in cycles")
     parser.add_argument("--sample-interval", type=int, default=256,
@@ -326,24 +318,12 @@ def run_metrics_command(argv=None) -> int:
     if args.sample_interval < 1:
         parser.error("--sample-interval must be >= 1")
 
-    workload = _resolve(args.workload, WORKLOADS, "workload")
-    system = _resolve(args.system, SYSTEMS, "system")
-    mode = ConflictMode.EAGER if args.mode == "eager" else ConflictMode.LAZY
     hub = MetricsHub(
         window_cycles=args.window, sample_interval=args.sample_interval
     )
-    result = run_experiment(
-        ExperimentConfig(
-            workload=workload,
-            system=system,
-            threads=args.threads,
-            mode=mode,
-            cycle_limit=args.cycles,
-            seed=args.seed,
-            metrics=hub,
-            degrade=DegradeSpec() if args.degrade else None,
-        )
-    )
+    config = run_config(args, metrics=hub, degrade=DegradeSpec() if args.degrade else None)
+    result = run_experiment(config)
+    workload, system = config.workload, config.system
     label = f"{workload}/{system}/{args.threads}t/{args.mode}/s{args.seed}"
     document = build_artifact(hub, result, run_info={
         "label": label,

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional
 from repro.analysis.engine import AnalysisReport
 from repro.analysis.modelcheck import check, findings_from, iter_model_rules
 from repro.analysis.output import render_sarif
-from repro.harness.analyze import _find_root
+from repro.harness.analyze import _find_root, add_output_arguments, emit
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,18 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="bfs",
         help="bfs guarantees minimal counterexamples (default)",
     )
-    parser.add_argument(
-        "--format",
-        choices=["text", "json", "sarif"],
-        default="text",
-        help="output format (default: text)",
-    )
-    parser.add_argument(
-        "--out",
-        default=None,
-        metavar="FILE",
-        help="write the report to FILE instead of stdout",
-    )
+    add_output_arguments(parser)
     parser.add_argument(
         "--export-schedules",
         default=None,
@@ -134,15 +123,8 @@ def run_modelcheck_command(argv: Optional[List[str]] = None) -> int:
     else:
         rendered = _render_text(result, replays, quiet=args.quiet)
 
-    if args.out:
-        Path(args.out).write_text(rendered, encoding="utf-8")
-        print(
-            f"modelcheck: wrote {args.format} report to {args.out} "
-            f"({len(result.violations)} violation(s), "
-            f"{len(result.dead_cells)} dead cell(s))"
-        )
-    else:
-        sys.stdout.write(rendered)
+    emit(args, rendered, f"modelcheck: wrote {args.format} report to {args.out} "
+         f"({len(result.violations)} violation(s), {len(result.dead_cells)} dead cell(s))")
 
     return 0 if result.ok else 1
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.chaos import ChaosEngine, ChaosSpec, InvariantChecker, LivelockWatchdog, WatchdogSpec
 from repro.core.descriptor import ConflictMode
@@ -61,6 +61,30 @@ BACKEND_SUMMARIES: Dict[str, str] = {
 #: time — ``os.environ`` changes (tests, long-running drivers) take
 #: effect without reimporting this module.
 DEFAULT_CYCLE_LIMIT = 400_000
+
+
+def comma_list(text: str) -> List[str]:
+    """The stripped, non-empty items of a comma-separated flag value."""
+    return [part.strip() for part in text.split(",") if part.strip()]
+
+
+def resolve_names(names: Sequence[str], choices: Sequence[str], what: str) -> List[str]:
+    """Case-insensitively canonicalize a CLI selection of backends,
+    workloads, fault profiles or schedules (SystemExit on junk).
+
+    An empty selection (e.g. ``--profiles ""``) fails too: it must not
+    silently produce a zero-cell matrix that trivially "passes".
+    """
+    lowered = {choice.lower(): choice for choice in choices}
+    resolved = []
+    for name in names:
+        key = lowered.get(name.lower())
+        if key is None:
+            raise SystemExit(f"unknown {what} {name!r}; choose from {', '.join(choices)}")
+        resolved.append(key)
+    if not resolved:
+        raise SystemExit(f"no {what}s selected; choose from {', '.join(choices)}")
+    return resolved
 
 
 def default_cycle_limit() -> int:

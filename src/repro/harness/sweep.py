@@ -102,6 +102,17 @@ class SweepSpec:
                 params=self.params,
             )
 
+    def axes(self) -> Dict[str, object]:
+        """The sweep's axes as the BENCH_sweep.json ``extra`` block."""
+        return {
+            "workloads": list(self.workloads),
+            "systems": list(self.systems),
+            "thread_counts": list(self.thread_counts),
+            "modes": [mode.value for mode in self.modes],
+            "seeds": list(self.seeds),
+            "cycle_limit": self.cycle_limit,
+        }
+
     def size(self) -> int:
         return (
             len(self.workloads)
@@ -215,14 +226,7 @@ def run_sweep(
             outcomes,
             jobs=effective_jobs(jobs),
             total_wall_time=elapsed,
-            extra={
-                "workloads": list(spec.workloads),
-                "systems": list(spec.systems),
-                "thread_counts": list(spec.thread_counts),
-                "modes": [mode.value for mode in spec.modes],
-                "seeds": list(spec.seeds),
-                "cycle_limit": spec.cycle_limit,
-            },
+            extra=spec.axes(),
         )
     return [
         _row(config, outcome, pathology=pathology)
@@ -252,26 +256,9 @@ def write_csv(
 # -- CLI ----------------------------------------------------------------------
 
 
-def _comma_list(text: str) -> List[str]:
-    return [part.strip() for part in text.split(",") if part.strip()]
-
-
-def _resolve_names(names: List[str], table, what: str) -> List[str]:
-    lowered = {key.lower(): key for key in table}
-    resolved = []
-    for name in names:
-        key = lowered.get(name.lower())
-        if key is None:
-            raise SystemExit(
-                f"unknown {what} {name!r}; choose from {', '.join(sorted(table))}"
-            )
-        resolved.append(key)
-    return resolved
-
-
 def run_sweep_command(argv=None) -> int:
     """``python -m repro.harness sweep`` — run a sweep from the shell."""
-    from repro.harness.runner import SYSTEMS
+    from repro.harness.runner import SYSTEMS, comma_list, resolve_names
     from repro.workloads import WORKLOADS
 
     parser = argparse.ArgumentParser(
@@ -323,13 +310,13 @@ def run_sweep_command(argv=None) -> int:
     args = parser.parse_args(argv)
 
     spec = SweepSpec(
-        workloads=_resolve_names(_comma_list(args.workloads), WORKLOADS, "workload"),
-        systems=_resolve_names(_comma_list(args.systems), SYSTEMS, "system"),
-        thread_counts=tuple(int(part) for part in _comma_list(args.threads)),
+        workloads=resolve_names(comma_list(args.workloads), sorted(WORKLOADS), "workload"),
+        systems=resolve_names(comma_list(args.systems), sorted(SYSTEMS), "system"),
+        thread_counts=tuple(int(part) for part in comma_list(args.threads)),
         modes=tuple(
-            ConflictMode(part.lower()) for part in _comma_list(args.modes)
+            ConflictMode(part.lower()) for part in comma_list(args.modes)
         ),
-        seeds=tuple(int(part) for part in _comma_list(args.seeds)),
+        seeds=tuple(int(part) for part in comma_list(args.seeds)),
         cycle_limit=args.cycles,
     )
     configs = list(spec.configs())
@@ -363,14 +350,7 @@ def run_sweep_command(argv=None) -> int:
     if args.bench_out:
         write_bench_json(
             args.bench_out, outcomes, jobs=jobs, total_wall_time=elapsed,
-            extra={
-                "workloads": list(spec.workloads),
-                "systems": list(spec.systems),
-                "thread_counts": list(spec.thread_counts),
-                "modes": [mode.value for mode in spec.modes],
-                "seeds": list(spec.seeds),
-                "cycle_limit": spec.cycle_limit,
-            },
+            extra=spec.axes(),
         )
     errors = sum(1 for outcome in outcomes if not outcome.ok)
     serial_estimate = sum(outcome.wall_time for outcome in outcomes)

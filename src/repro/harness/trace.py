@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import os
-from typing import Dict
 
 from repro.core.descriptor import ConflictMode
 from repro.obs.export import (
@@ -33,17 +32,6 @@ from repro.obs.profiler import CycleProfiler
 from repro.obs.report import render_run_report
 from repro.obs.tracer import EventTracer
 from repro.workloads import WORKLOADS
-
-
-def _resolve(name: str, table: Dict[str, object], what: str) -> str:
-    """Case-insensitive lookup of a workload/system key."""
-    lowered = {key.lower(): key for key in table}
-    key = lowered.get(name.lower())
-    if key is None:
-        raise SystemExit(
-            f"unknown {what} {name!r}; choose from {', '.join(sorted(table))}"
-        )
-    return key
 
 
 def make_tracer(args) -> EventTracer:
@@ -77,15 +65,8 @@ def write_point_trace(
     return path
 
 
-def run_trace_command(argv=None) -> int:
-    # Imported here, not at module top: repro.harness.runner builds the
-    # machine layer, and keeping it lazy makes `--help` instant.
-    from repro.harness.runner import SYSTEMS, ExperimentConfig, run_experiment
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.harness trace",
-        description="Run one traced experiment and print its cycle profile.",
-    )
+def add_run_arguments(parser: argparse.ArgumentParser) -> None:
+    """The single-run flags the ``trace`` and ``metrics`` CLIs share."""
     parser.add_argument("workload", help="workload name (case-insensitive)")
     parser.add_argument("system", help="TM system name (case-insensitive)")
     parser.add_argument("--threads", type=int, default=4)
@@ -93,6 +74,30 @@ def run_trace_command(argv=None) -> int:
                         help="cycle budget (0 = default / REPRO_CYCLES)")
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--mode", choices=["eager", "lazy"], default="eager")
+
+
+def run_config(args, **extra):
+    """The ExperimentConfig those flags select (SystemExit on junk names)."""
+    from repro.harness.runner import SYSTEMS, ExperimentConfig, resolve_names
+
+    (workload,) = resolve_names([args.workload], sorted(WORKLOADS), "workload")
+    (system,) = resolve_names([args.system], sorted(SYSTEMS), "system")
+    return ExperimentConfig(
+        workload=workload, system=system, threads=args.threads,
+        mode=ConflictMode(args.mode), cycle_limit=args.cycles, seed=args.seed, **extra,
+    )
+
+
+def run_trace_command(argv=None) -> int:
+    # Imported here, not at module top: repro.harness.runner builds the
+    # machine layer, and keeping it lazy makes `--help` instant.
+    from repro.harness.runner import run_experiment
+
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.harness trace",
+        description="Run one traced experiment and print its cycle profile.",
+    )
+    add_run_arguments(parser)
     parser.add_argument("--trace-out", metavar="FILE",
                         help="write Chrome trace_event JSON here")
     parser.add_argument("--jsonl-out", metavar="FILE",
@@ -107,24 +112,12 @@ def run_trace_command(argv=None) -> int:
     if args.sample < 1:
         parser.error("--sample must be >= 1")
 
-    workload = _resolve(args.workload, WORKLOADS, "workload")
-    system = _resolve(args.system, SYSTEMS, "system")
-    mode = ConflictMode.EAGER if args.mode == "eager" else ConflictMode.LAZY
     tracer = make_tracer(args)
-    result = run_experiment(
-        ExperimentConfig(
-            workload=workload,
-            system=system,
-            threads=args.threads,
-            mode=mode,
-            cycle_limit=args.cycles,
-            seed=args.seed,
-            tracer=tracer,
-        )
-    )
+    config = run_config(args, tracer=tracer)
+    result = run_experiment(config)
 
     profile = CycleProfiler(tracer).profile()
-    title = f"{workload} / {system} / {args.threads} threads (seed {args.seed})"
+    title = f"{config.workload} / {config.system} / {args.threads} threads (seed {args.seed})"
     print(render_run_report(profile, result=result, title=title))
     print()
     print(f"events recorded: {len(tracer)}  dropped: {tracer.dropped}")

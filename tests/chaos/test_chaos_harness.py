@@ -20,6 +20,7 @@ from repro.harness.chaos import (
 def _run(**overrides):
     base = {
         "commits": 8,
+        "expected": 8,
         "aborts": 3,
         "cycles": 1000,
         "aborts_by_kind": {},
@@ -29,7 +30,9 @@ def _run(**overrides):
         "watchdog": {},
         "invariant_checks": 5,
         "serializable": True,
+        "violation": "",
         "memory_ok": True,
+        "opacity": "",
         "error": "",
         "error_kind": "",
     }
@@ -56,7 +59,7 @@ def test_every_profile_arms_at_least_one_site():
 
 def test_classify_crash():
     cell = _classify(_run(error="ZeroDivisionError: boom", error_kind="crash"),
-                     BASELINE, 8)
+                     BASELINE)
     assert cell.classification == "crash"
     assert not cell.ok
 
@@ -64,33 +67,58 @@ def test_classify_crash():
 def test_classify_diagnosed_on_repro_error():
     cell = _classify(
         _run(error="InvariantViolation: [cst-symmetry] ...", error_kind="repro"),
-        BASELINE, 8,
+        BASELINE,
     )
     assert cell.classification == "diagnosed"
     assert cell.ok
 
 
 def test_classify_wedged_on_commit_shortfall():
-    cell = _classify(_run(commits=5), BASELINE, 8)
+    cell = _classify(_run(commits=5), BASELINE)
     assert cell.classification == "wedged"
     assert not cell.ok
 
 
+def test_classify_wedged_outranks_a_non_serializable_partial_history():
+    # Missing commits *and* a partial history the oracle rejects: the
+    # ladder checks for wedging before serializability, so this is a
+    # liveness failure, not a passing diagnosis.
+    cell = _classify(
+        _run(commits=5, serializable=False, memory_ok=False,
+             violation="SerializabilityViolation: dependency cycle: [(1, 2), (2, 1)]"),
+        BASELINE,
+    )
+    assert cell.classification == "wedged"
+    assert cell.detail == "5/8 commits at cycle budget"
+    assert not cell.ok
+
+
+def test_classify_diagnosed_on_serializability_violation():
+    cell = _classify(
+        _run(serializable=False, memory_ok=False,
+             violation="SerializabilityViolation: dependency cycle: [(1, 2), (2, 1)]"),
+        BASELINE,
+    )
+    assert cell.classification == "diagnosed"
+    assert cell.detail.startswith("SerializabilityViolation")
+    assert cell.ok
+
+
 def test_classify_silent_corruption_on_memory_divergence():
-    cell = _classify(_run(memory_ok=False), BASELINE, 8)
+    cell = _classify(_run(memory_ok=False), BASELINE)
     assert cell.classification == "silent-corruption"
     assert not cell.ok
 
 
 def test_classify_clean_when_nothing_fired():
-    cell = _classify(_run(injected={}), BASELINE, 8)
+    cell = _classify(_run(injected={}), BASELINE)
     assert cell.classification == "clean"
 
 
 def test_classify_masked_vs_degraded():
-    masked = _classify(_run(), BASELINE, 8)
+    masked = _classify(_run(), BASELINE)
     assert masked.classification == "masked"
-    degraded = _classify(_run(aborts=7), BASELINE, 8)
+    degraded = _classify(_run(aborts=7), BASELINE)
     assert degraded.classification == "degraded"
     assert masked.ok and degraded.ok
 

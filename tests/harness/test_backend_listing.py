@@ -43,20 +43,32 @@ def test_list_backends_flag(command, capsys):
         assert name in stdout
 
 
-@pytest.mark.parametrize(
-    "command", [run_chaos_command, run_degrade_command, run_adversary_command]
-)
-def test_unknown_backend_fails_fast(command):
-    with pytest.raises(SystemExit, match="unknown backend"):
-        command(["--backends", "HTM-BE,NoSuchTM", "--quiet"])
+#: (command, selection flag, a selection ending in junk, what it selects).
+#: Backend cases keep the bare command as their id.
+SELECTIONS = [
+    pytest.param(command, "--backends", "HTM-BE,NoSuchTM", "backend",
+                 id=command.__name__)
+    for command in (run_chaos_command, run_degrade_command, run_adversary_command)
+] + [
+    pytest.param(run_chaos_command, "--profiles", "storm,earthquake", "profile",
+                 id="run_chaos_command-profiles"),
+    pytest.param(run_degrade_command, "--profiles", "storm,earthquake", "profile",
+                 id="run_degrade_command-profiles"),
+    pytest.param(run_adversary_command, "--schedules", "commit-duel,warp-duel",
+                 "schedule", id="run_adversary_command-schedules"),
+]
 
 
-@pytest.mark.parametrize(
-    "command", [run_chaos_command, run_degrade_command, run_adversary_command]
-)
-def test_empty_backend_selection_fails_fast(command):
-    with pytest.raises(SystemExit, match="no backends selected"):
-        command(["--backends", ",", "--quiet"])
+@pytest.mark.parametrize("command,flag,selection,what", SELECTIONS)
+def test_unknown_backend_fails_fast(command, flag, selection, what):
+    with pytest.raises(SystemExit, match=f"unknown {what}"):
+        command([flag, selection, "--quiet"])
+
+
+@pytest.mark.parametrize("command,flag,selection,what", SELECTIONS)
+def test_empty_backend_selection_fails_fast(command, flag, selection, what):
+    with pytest.raises(SystemExit, match=f"no {what}s selected"):
+        command([flag, ",", "--quiet"])
 
 
 def test_resolver_reports_the_valid_set():

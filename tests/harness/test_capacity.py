@@ -89,3 +89,8 @@ def test_legacy_backend_reports_no_fallback_keys():
     assert not any(k.startswith("fallback_") for k in row["escalations"])
     assert row["commits_by_path"] == {"htm": 0, "sw": 0, "irrevocable": 0}
     assert row["fallback_rate"] == 0.0
+
+
+def test_command_rejects_a_non_integer_size():
+    with pytest.raises(SystemExit, match="'x'"):
+        run_capacity_command(["--sizes", "2,x"])
