@@ -19,7 +19,7 @@ import dataclasses
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.coherence.messages import RequestType, ResponseKind
-from repro.coherence.states import LineState
+from repro.coherence.states import GRANT_RULES, LineState
 from repro.errors import ProtocolError
 from repro.memory.cache import CacheArray
 from repro.obs.tracer import NULL_TRACER
@@ -111,6 +111,9 @@ class Directory:
         self.summary_conflict_check: Optional[Callable] = None
         # NACK filter: lines in a committed overflow table mid-copy-back.
         self.nack_check: Optional[Callable] = None
+        # Cores-Summary stickiness for descheduled transactions
+        # (installed by the virtualization layer).
+        self.sticky_check: Optional[Callable] = None
         # Observability hooks (installed by FlexTMMachine.set_tracer):
         # the tracer itself and a processor-clock accessor for stamps.
         self.tracer = NULL_TRACER
@@ -249,10 +252,7 @@ class Directory:
 
     def _sticky(self, line_address: int, processor: int) -> bool:
         """Cores-Summary stickiness for descheduled transactions."""
-        # Installed by the virtualization layer; absent means no
-        # descheduled transactions exist.
-        checker = getattr(self, "sticky_check", None)
-        return bool(checker and checker(line_address, processor))
+        return self.sticky_check is not None and bool(self.sticky_check(line_address, processor))
 
     def _grant_and_record(
         self,
@@ -262,31 +262,26 @@ class Directory:
         entry: DirectoryEntry,
         responses: List[Tuple[int, ResponseKind]],
     ) -> LineState:
-        threatened = any(kind is ResponseKind.THREATENED for _, kind in responses)
-        if req_type is RequestType.GETS:
-            if threatened:
-                # TLoads install in TI (the L1 decides; plain Loads stay
-                # uncached).  Either way the requestor is recorded as a
-                # sharer so future TMI commits can invalidate its copy.
-                entry.add_sharer(requestor)
-                return LineState.TI
-            if entry.empty:
-                entry.add_owner(requestor)  # E grants exclusivity
-                return LineState.E
-            entry.add_sharer(requestor)
-            return LineState.S
-        if req_type is RequestType.GETX:
-            # Remote copies were invalidated by the forward loop, which
-            # also pruned holders with no remaining stake.  Holders that
-            # answered with a signature response, hold TMI, or are
-            # sticky (descheduled transactions, Cores Summary) stay
-            # listed so they keep receiving coherence requests.
+        facts = {
+            "threatened": any(kind is ResponseKind.THREATENED for _, kind in responses),
+            "no_holders": entry.empty,
+            "otherwise": True,
+        }
+        grant = next(state for condition, state in GRANT_RULES[req_type] if facts[condition])
+        if grant.encoding[0]:
+            # M-bit grants (E, M, TMI) make the requestor an owner; TMI
+            # joins the (possibly plural) owners.  Remote copies were
+            # invalidated by the forward loop, which also pruned holders
+            # with no remaining stake; holders that answered with a
+            # signature response, hold TMI, or are sticky stay listed so
+            # they keep receiving coherence requests.
             entry.add_owner(requestor)
-            return LineState.M
-        if req_type is RequestType.TGETX:
-            entry.add_owner(requestor)  # joins the (possibly plural) owners
-            return LineState.TMI
-        raise ProtocolError(f"unknown request type {req_type}")
+        else:
+            # S, and TI under a Threatened response: the requestor is
+            # recorded as a sharer so future TMI commits can invalidate
+            # its copy (a plain Load granted TI stays uncached at the L1).
+            entry.add_sharer(requestor)
+        return grant
 
     # -- write-back / eviction notifications ----------------------------------
 

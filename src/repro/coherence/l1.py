@@ -6,6 +6,16 @@ responses, eviction policy (silent for E/S/TI, write-back for M,
 overflow-table spill for TMI), the flash commit/abort sweeps, and the
 alert-on-update machinery all live here.
 
+The controller executes the protocol spec rather than restating it:
+every (state x message) decision is a lookup in the tables
+:mod:`repro.coherence.states` compiles from :mod:`repro.coherence.spec`
+(``LOCAL_DISPATCH``, ``LOCAL_NEXT_STATE``, ``MISS_REQUESTS``,
+``GRANT_INSTALL``, ``REMOTE_NEXT_STATE`` and the flash transforms), the
+same tables the model checker verifies.  Only the side effects the
+tables do not describe are written out here: victim-buffer refills, the
+posted write-back on M -> TMI, NACKs, eviction, alerts and the stats
+counters.
+
 TM-specific policy is injected through a small hook object so that the
 coherence layer itself stays TM-agnostic — the decoupling the paper
 argues for.  The hooks are:
@@ -26,11 +36,20 @@ argues for.  The hooks are:
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.coherence.directory import Directory
 from repro.coherence.messages import AccessKind, AccessResult, RequestType, ResponseKind
-from repro.coherence.states import LineState
+from repro.coherence.states import (
+    ABORT_TRANSFORM,
+    COMMIT_TRANSFORM,
+    GRANT_INSTALL,
+    LOCAL_DISPATCH,
+    LOCAL_NEXT_STATE,
+    MISS_REQUESTS,
+    REMOTE_NEXT_STATE,
+    LineState,
+)
 from repro.errors import ProtocolError
 from repro.memory.cache import CacheArray, CacheLine
 from repro.memory.victim import VictimBuffer
@@ -86,8 +105,6 @@ class L1Controller:
         #: lines keep the normal victim buffer.
         self.tmi_to_victim = tmi_to_victim
         self.tmi_victims = VictimBuffer(None) if tmi_to_victim else None
-        #: Set of line addresses pinned against eviction (OT remap aid).
-        self._pinned = set()
         #: Cycles accumulated by evictions performed inside an access.
         self._eviction_cycles = 0
 
@@ -101,75 +118,49 @@ class L1Controller:
             self._chaos_evict(line_address)
         line = self.array.lookup(line_address)
         if line is not None:
-            hit = self._try_hit(kind, line)
-            if hit is None:
-                hit = self._upgrade(kind, line)
+            result = self._dispatch(kind, line_address, line)
         else:
             refill = self.victims.extract(line_address)
             if refill is None and self.tmi_victims is not None:
                 refill = self.tmi_victims.extract(line_address)
             if refill is not None:
-                line = self._install(line_address, refill)
+                line = self.install(line_address, refill)
                 self.stats.counter("l1.victim_hits").increment()
-                hit = self._try_hit(kind, line)
-                if hit is None:
-                    hit = self._upgrade(kind, line)
-                hit.cycles += 1  # victim-buffer lookup penalty
+                result = self._dispatch(kind, line_address, line)
+                result.cycles += 1  # victim-buffer lookup penalty
             else:
-                hit = self._miss(kind, line_address)
-        hit.cycles += self._eviction_cycles
+                result = self._dispatch(kind, line_address, None)
+        result.cycles += self._eviction_cycles
         self._eviction_cycles = 0
-        return hit
+        return result
 
-    def _try_hit(self, kind: AccessKind, line: CacheLine) -> Optional[AccessResult]:
-        """Resolve the access locally when the state permits."""
-        state = line.state
-        if kind in (AccessKind.LOAD, AccessKind.TLOAD) and state.readable:
-            return AccessResult(cycles=self.params.l1_hit_cycles, state=state, hit=True)
-        if kind is AccessKind.TSTORE and state is LineState.TMI:
-            return AccessResult(cycles=self.params.l1_hit_cycles, state=state, hit=True)
-        if kind is AccessKind.STORE:
-            if state is LineState.M:
-                return AccessResult(cycles=self.params.l1_hit_cycles, state=state, hit=True)
-            if state is LineState.E:
-                line.state = LineState.M  # silent upgrade
-                return AccessResult(cycles=self.params.l1_hit_cycles, state=LineState.M, hit=True)
-            if state is LineState.TMI:
-                raise ProtocolError("non-transactional Store to a local TMI line")
-        return None
-
-    def _upgrade(self, kind: AccessKind, line: CacheLine) -> AccessResult:
-        """In-place state upgrades that need protocol actions."""
-        state = line.state
-        if kind is AccessKind.TSTORE:
+    def _dispatch(
+        self, kind: AccessKind, line_address: int, line: Optional[CacheLine]
+    ) -> AccessResult:
+        """Resolve one access against the compiled Figure 1 tables."""
+        state = line.state if line is not None else LineState.I
+        outcome = LOCAL_DISPATCH[kind, state]
+        if outcome == "request":
+            if line is None:
+                self.stats.counter("l1.misses").increment()
+            return self._request(kind, MISS_REQUESTS[kind], line_address)
+        if outcome == "error":
+            raise ProtocolError(f"illegal {kind.value} to a local {state.name} line")
+        next_state = LOCAL_NEXT_STATE[kind, state]
+        cycles = self.params.l1_hit_cycles
+        if next_state is not state:
             if state is LineState.M:
                 # Figure 1: M --TStore/Flush--> TMI.  The modified data
                 # is written back so later Loads see the latest
                 # non-speculative version.  The write-back is *posted*
                 # (drains through the write buffer), so the store only
                 # pays a couple of cycles, not the L2 round trip.
-                self.directory.writeback(self.proc_id, line.line_address)
-                line.state = LineState.TMI
-                line.t_bit = True
+                self.directory.writeback(self.proc_id, line_address)
                 self.stats.counter("l1.m_to_tmi_flush").increment()
-                return AccessResult(
-                    cycles=2 + self.params.l1_hit_cycles, state=LineState.TMI, hit=True
-                )
-            if state in (LineState.E, LineState.S, LineState.TI):
-                return self._request(AccessKind.TSTORE, RequestType.TGETX, line.line_address)
-        if kind is AccessKind.STORE and state in (LineState.S, LineState.TI):
-            return self._request(AccessKind.STORE, RequestType.GETX, line.line_address)
-        raise ProtocolError(f"no upgrade path for {kind} in {state}")
-
-    def _miss(self, kind: AccessKind, line_address: int) -> AccessResult:
-        request = {
-            AccessKind.LOAD: RequestType.GETS,
-            AccessKind.TLOAD: RequestType.GETS,
-            AccessKind.STORE: RequestType.GETX,
-            AccessKind.TSTORE: RequestType.TGETX,
-        }[kind]
-        self.stats.counter("l1.misses").increment()
-        return self._request(kind, request, line_address)
+                cycles += 2
+            line.state = next_state
+            line.t_bit = next_state.is_transactional
+        return AccessResult(cycles=cycles, state=next_state)
 
     def _request(self, kind: AccessKind, request: RequestType, line_address: int) -> AccessResult:
         outcome = self.directory.request(self.proc_id, request, line_address)
@@ -181,33 +172,25 @@ class L1Controller:
         if outcome.nacked:
             result.nacked = True
             return result
-        grant = outcome.grant
-        if grant is LineState.TI:
-            if kind is AccessKind.TLOAD:
-                self._install_or_update(line_address, LineState.TI, t_bit=True)
-            else:
-                # Strong isolation: a plain Load that was threatened
-                # reads the committed value but leaves the line uncached
-                # so that it serializes before the writing transaction.
-                existing = self.array.peek(line_address)
-                if existing is not None and not existing.state.is_transactional:
-                    self._drop_line(existing)
-                result.threatened_uncached = True
-                result.state = LineState.I
+        installed = GRANT_INSTALL[kind, outcome.grant]
+        existing = self.array.peek(line_address)
+        if installed is LineState.I:
+            # Strong isolation: a plain Load that was threatened reads
+            # the committed value but leaves the line uncached so that
+            # it serializes before the writing transaction.
+            if existing is not None and not existing.state.is_transactional:
+                self._drop_line(existing)
+            result.state = LineState.I
+        elif existing is not None:
+            existing.state = installed
+            existing.t_bit = installed.is_transactional
         else:
-            self._install_or_update(line_address, grant, t_bit=grant is LineState.TMI)
+            self.install(line_address, installed)
         return result
 
-    def _install_or_update(self, line_address: int, state: LineState, t_bit: bool) -> None:
-        existing = self.array.peek(line_address)
-        if existing is not None:
-            existing.state = state
-            existing.t_bit = t_bit
-            return
-        self._install(line_address, state)
-
-    def _install(self, line_address: int, state: LineState) -> CacheLine:
-        victim = self.array.choose_victim(line_address, pinned=lambda l: l.line_address in self._pinned)
+    def install(self, line_address: int, state: LineState) -> CacheLine:
+        """Fill a line, evicting the set's LRU victim first when it is full."""
+        victim = self.array.choose_victim(line_address)
         if victim is not None:
             self.evict(victim)
         line = self.array.install(line_address, state)
@@ -253,7 +236,7 @@ class L1Controller:
         self.array.remove(line.line_address)
 
     def _chaos_evict(self, line_address: int) -> None:
-        """Cache-pressure fault: evict one unpinned line, policy intact.
+        """Cache-pressure fault: evict one other line, policy intact.
 
         Exercises the TMI-spill and silent-eviction paths under
         adversarial pressure; the victim goes through :meth:`evict`, so
@@ -265,20 +248,12 @@ class L1Controller:
             line
             for line in self.array.valid_lines()
             if line.line_address != line_address
-            and line.line_address not in self._pinned
         ]
         if not candidates:
             return
         victim = candidates[self.chaos.pick(len(candidates))]
         self.stats.counter("l1.chaos_evictions").increment()
         self.evict(victim)
-
-    def pin(self, line_address: int) -> None:
-        """Protect a line from eviction (OT remap service routine)."""
-        self._pinned.add(line_address)
-
-    def unpin(self, line_address: int) -> None:
-        self._pinned.discard(line_address)
 
     # ----------------------------------------------------------------- remote
 
@@ -292,32 +267,21 @@ class L1Controller:
         """
         kind = self.hooks.classify_remote(requestor, req_type, line_address)
         line = self.array.peek(line_address)
-        in_victims = self.victims.contains(line_address)
-
-        if line is not None and line.state is LineState.TMI:
-            # TMI lines never yield: the speculative value stays private
-            # and the response (Threatened, via Wsig) was computed above.
-            return kind, True
-
-        if req_type.is_exclusive:
-            if line is not None:
-                if line.state is LineState.M:
+        if line is not None:
+            state = line.state
+            next_state = REMOTE_NEXT_STATE[req_type, state]
+            if next_state is not state:
+                if state is LineState.M:
                     self.stats.counter("l1.remote_flushes").increment()
-                self._drop_line(line)
-            if in_victims:
-                self.victims.invalidate(line_address)
-        else:  # GETS
-            if line is not None:
-                if line.state is LineState.M:
-                    self.stats.counter("l1.remote_flushes").increment()
-                    line.state = LineState.S
-                elif line.state is LineState.E:
-                    line.state = LineState.S
-            elif in_victims:
-                refill = self.victims.extract(line_address)
-                if refill in (LineState.M, LineState.E):
-                    refill = LineState.S
-                self.victims.insert(line_address, refill)
+                if next_state is LineState.I:
+                    self._drop_line(line)
+                else:
+                    line.state = next_state
+        # A silently evicted copy in the victim buffer follows the same
+        # table (TMI lines never sit there: they spill to the OT).
+        refill = self.victims.extract(line_address)
+        if refill is not None:
+            self.victims.insert(line_address, REMOTE_NEXT_STATE[req_type, refill])
 
         # A responder whose signature matched retains a conflict-
         # detection stake in the line even when its cached copy is gone
@@ -355,33 +319,33 @@ class L1Controller:
             line.a_bit = False
 
     def flash_commit(self) -> int:
-        """CAS-Commit success path: TMI -> M, TI -> I (flash-clear T bits)."""
+        """CAS-Commit success path: Figure 3's COMMIT_TRANSFORM, T bits cleared."""
         swept = self.array.flash_transform(self._commit_line)
-        self._sweep_victims(commit=True)
+        self._sweep_victims(COMMIT_TRANSFORM)
         return swept
 
     def flash_abort(self) -> int:
-        """Abort path: TMI -> I, TI -> I."""
+        """Abort path: Figure 3's ABORT_TRANSFORM, T bits cleared."""
         swept = self.array.flash_transform(self._abort_line)
-        self._sweep_victims(commit=False)
+        self._sweep_victims(ABORT_TRANSFORM)
         return swept
 
     @staticmethod
     def _commit_line(line: CacheLine) -> None:
-        line.state = line.state.after_commit()
+        line.state = COMMIT_TRANSFORM[line.state]
         line.t_bit = False
 
     @staticmethod
     def _abort_line(line: CacheLine) -> None:
-        line.state = line.state.after_abort()
+        line.state = ABORT_TRANSFORM[line.state]
         line.t_bit = False
 
-    def _sweep_victims(self, commit: bool) -> None:
+    def _sweep_victims(self, transform: Dict[LineState, LineState]) -> None:
         """The flash transforms also cover the victim buffers."""
         stale = []
         for address in list(self.victims._entries):
             state = self.victims._entries[address]
-            new_state = state.after_commit() if commit else state.after_abort()
+            new_state = transform[state]
             if new_state is LineState.I:
                 stale.append(address)
             elif new_state is not state:

@@ -29,6 +29,8 @@ import dataclasses
 import enum
 from typing import List, Tuple
 
+from repro.coherence import spec
+
 
 class AccessKind(enum.Enum):
     """Processor-side memory operations."""
@@ -40,11 +42,11 @@ class AccessKind(enum.Enum):
 
     @property
     def is_transactional(self) -> bool:
-        return self in (AccessKind.TLOAD, AccessKind.TSTORE)
+        return self._value_ in spec.ACCESS_PREDICATES["is_transactional"]
 
     @property
     def is_write(self) -> bool:
-        return self in (AccessKind.STORE, AccessKind.TSTORE)
+        return self._value_ in spec.ACCESS_PREDICATES["is_write"]
 
 
 class RequestType(enum.Enum):
@@ -57,7 +59,7 @@ class RequestType(enum.Enum):
     @property
     def is_exclusive(self) -> bool:
         """GETX/TGETX — the 'X' set in Figure 1."""
-        return self in (RequestType.GETX, RequestType.TGETX)
+        return self._value_ in spec.REQUEST_PREDICATES["is_exclusive"]
 
 
 class ResponseKind(enum.Enum):
@@ -77,11 +79,7 @@ class ResponseKind(enum.Enum):
         invalidations return no signature response at all), and strong
         isolation requires the requestor to abort that responder.
         """
-        return self in (
-            ResponseKind.THREATENED,
-            ResponseKind.EXPOSED_READ,
-            ResponseKind.INVALIDATED,
-        )
+        return self._value_ in spec.CONFLICT_RESPONSES
 
 
 @dataclasses.dataclass
@@ -93,24 +91,14 @@ class AccessResult:
         conflicts: (responder_processor, ResponseKind) pairs for every
             conflicting response; empty when the access was clean.
         state: resulting local L1 state of the line.
-        hit: True when the access was satisfied without a directory
-            request.
-        threatened_uncached: True when a non-transactional load observed
-            a Threatened response and therefore left the line uncached
-            (strong-isolation read path, Section 3.5).
         nacked: True when the access was refused (committed-OT copy-back
             in flight) and must be retried by the issuer.
-        aborted_remote: processors whose transactions were aborted as a
-            side effect (strong isolation on non-transactional stores).
     """
 
     cycles: int = 0
     conflicts: List[Tuple[int, ResponseKind]] = dataclasses.field(default_factory=list)
     state: "object" = None
-    hit: bool = False
-    threatened_uncached: bool = False
     nacked: bool = False
-    aborted_remote: List[int] = dataclasses.field(default_factory=list)
 
     @property
     def conflicted(self) -> bool:

@@ -1,22 +1,22 @@
 """Machine-readable TMESI protocol specification (Figure 1 / Figure 3).
 
 The tables in this module transcribe the paper's protocol figures
-(Shriraman et al., TR #925 / ISCA 2008) into data that tools can
-consume:
+(Shriraman et al., TR #925 / ISCA 2008) into plain data, and that data
+is the protocol the simulator runs:
 
-* the ``simcheck`` static pass (``repro.analysis.rules_protocol``)
-  extracts the actual (state x message) dispatch from
-  ``coherence/l1.py``, ``coherence/directory.py`` and
-  ``core/processor.py`` and diffs it against these tables, reporting
-  unhandled pairs and dead transitions at lint time;
-* ``tests/coherence/test_spec_crosscheck.py`` pins the executable
-  :class:`~repro.coherence.states.LineState` predicates and encodings
-  against the same tables, so the spec, the enum, and the controllers
-  can never drift apart silently.
+* :mod:`repro.coherence.states` compiles the tables once, at import
+  time, into dicts keyed by the coherence enums; the L1 controller, the
+  directory and the processor's signature hooks look every
+  (state x message) decision up there, so the controllers execute this
+  spec rather than restate it;
+* the exhaustive model checker (:mod:`repro.analysis.modelcheck`,
+  rules SIM-M401..407) verifies the same tables in every reachable
+  interleaving.
 
 Everything is expressed over plain strings (state / message / access
-names) so the spec itself imports nothing from the implementation —
-the cross-checks are what tie the two together.
+names) so the spec itself imports nothing from the implementation; the
+compile step maps the names onto the enums and fails loudly on any name
+or dispatch cell it cannot resolve.
 """
 
 from __future__ import annotations
@@ -50,9 +50,9 @@ ENCODINGS: Dict[str, Tuple[int, int, int]] = {
     "TI": (0, 0, 1),
 }
 
-#: State predicates used by the controllers; ``simcheck`` expands
-#: ``state.<predicate>`` conditions through this table, and the
-#: cross-check test pins them against the ``LineState`` properties.
+#: State predicates.  ``LineState.is_valid`` / ``is_transactional`` are
+#: compiled from this table; the model checker derives every entry from
+#: the (M, V, T) bits and reports a disagreement as SIM-M402.
 STATE_PREDICATES: Dict[str, FrozenSet[str]] = {
     "is_valid": frozenset({"S", "E", "M", "TMI", "TI"}),
     "is_transactional": frozenset({"TMI", "TI"}),  # T bit set
@@ -61,13 +61,13 @@ STATE_PREDICATES: Dict[str, FrozenSet[str]] = {
     "tstore_hits": frozenset({"TMI"}),
 }
 
-#: Access-kind predicates (``AccessKind`` properties).
+#: Access-kind predicates (the ``AccessKind`` properties read these).
 ACCESS_PREDICATES: Dict[str, FrozenSet[str]] = {
     "is_transactional": frozenset({"TLoad", "TStore"}),
     "is_write": frozenset({"Store", "TStore"}),
 }
 
-#: Request-type predicates (``RequestType`` properties).
+#: Request-type predicates (the ``RequestType`` properties read these).
 REQUEST_PREDICATES: Dict[str, FrozenSet[str]] = {
     "is_exclusive": frozenset({"GETX", "TGETX"}),
 }

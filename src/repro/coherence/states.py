@@ -1,4 +1,4 @@
-"""Cache-line states: MESI plus the two PDI additions.
+"""Cache-line states and the compiled TMESI protocol tables.
 
 Figure 1's encoding table::
 
@@ -16,11 +16,26 @@ TI is "I with the T bit" — a transactional read of a line some remote
 processor holds in TMI; the local copy is the *pre-speculative* value
 and must revert to I on either commit or abort (the remote commit could
 make it stale).
+
+Below the enum, the string tables of :mod:`repro.coherence.spec` are
+compiled once, at import time, into dicts keyed by the
+:class:`LineState`, :class:`~repro.coherence.messages.AccessKind`,
+:class:`~repro.coherence.messages.RequestType` and
+:class:`~repro.coherence.messages.ResponseKind` enums.  The L1, the
+directory and the processor look every (state x message) decision up in
+these dicts, so the tables the model checker verifies are the tables
+that run.  Compilation fails at import when a spec name has no enum
+member, or when a table the controllers index directly is not total
+over its enum domain.
 """
 
 from __future__ import annotations
 
 import enum
+from typing import Dict, FrozenSet, Iterable, Mapping, Tuple, TypeVar
+
+from repro.coherence import spec
+from repro.coherence.messages import AccessKind, RequestType, ResponseKind
 
 
 class LineState(enum.Enum):
@@ -34,55 +49,137 @@ class LineState(enum.Enum):
     TI = "TI"
 
     @property
-    def encoding(self) -> tuple[int, int, int]:
+    def encoding(self) -> Tuple[int, int, int]:
         """(M bit, V bit, T bit) hardware encoding from Figure 1."""
-        return _ENCODING[self]
+        return ENCODINGS[self]
 
     @property
     def is_valid(self) -> bool:
         """Line holds usable data (everything except I)."""
-        return self is not LineState.I
+        return self in VALID_STATES
 
     @property
     def is_transactional(self) -> bool:
         """T bit set (TMI or TI)."""
-        return self in (LineState.TMI, LineState.TI)
-
-    @property
-    def readable(self) -> bool:
-        """A local load can be satisfied from this state."""
-        return self in (LineState.S, LineState.E, LineState.M, LineState.TMI, LineState.TI)
-
-    @property
-    def writable(self) -> bool:
-        """A local (non-transactional) store can hit in this state."""
-        return self in (LineState.E, LineState.M)
-
-    @property
-    def tstore_hits(self) -> bool:
-        """A transactional store can proceed without a request."""
-        return self is LineState.TMI
-
-    def after_commit(self) -> "LineState":
-        """Flash-commit transform: TMI -> M, TI -> I, others unchanged."""
-        if self is LineState.TMI:
-            return LineState.M
-        if self is LineState.TI:
-            return LineState.I
-        return self
-
-    def after_abort(self) -> "LineState":
-        """Flash-abort transform: TMI -> I, TI -> I, others unchanged."""
-        if self in (LineState.TMI, LineState.TI):
-            return LineState.I
-        return self
+        return self in TRANSACTIONAL_STATES
 
 
-_ENCODING = {
-    LineState.I: (0, 0, 0),
-    LineState.S: (0, 1, 0),
-    LineState.M: (1, 0, 0),
-    LineState.E: (1, 1, 0),
-    LineState.TMI: (1, 0, 1),
-    LineState.TI: (0, 0, 1),
+# --------------------------------------------------------------------------- #
+# Compilation: spec names -> enum members.
+
+_E = TypeVar("_E", bound=enum.Enum)
+
+_STATE: Dict[str, LineState] = {state.value: state for state in LineState}
+_ACCESS: Dict[str, AccessKind] = {kind.value: kind for kind in AccessKind}
+_REQUEST: Dict[str, RequestType] = {request.value: request for request in RequestType}
+_RESPONSE: Dict[str, ResponseKind] = {response.value: response for response in ResponseKind}
+
+
+def _member(members: Mapping[str, _E], name: str) -> _E:
+    """The enum member a spec name denotes; an unknown name fails loudly."""
+    if name not in members:
+        raise ValueError(f"protocol spec names unknown member {name!r}")
+    return members[name]
+
+
+def _states(names: FrozenSet[str]) -> FrozenSet[LineState]:
+    return frozenset(_member(_STATE, name) for name in names)
+
+
+def _require_total(what: str, keys: Iterable[object], domain: Iterable[object]) -> None:
+    """Totality check: ``keys`` cover every element of ``domain``."""
+    present = set(keys)
+    missing = sorted(str(cell) for cell in domain if cell not in present)
+    if missing:
+        raise ValueError(f"{what} has no cell for {', '.join(missing)}")
+
+
+#: Figure 1's (M, V, T) encoding of every state.
+ENCODINGS: Dict[LineState, Tuple[int, int, int]] = {
+    _member(_STATE, name): bits for name, bits in spec.ENCODINGS.items()
 }
+VALID_STATES: FrozenSet[LineState] = _states(spec.STATE_PREDICATES["is_valid"])
+TRANSACTIONAL_STATES: FrozenSet[LineState] = _states(spec.STATE_PREDICATES["is_transactional"])
+
+#: (access, state) -> ``"local"`` / ``"request"`` / ``"error"``.
+LOCAL_DISPATCH: Dict[Tuple[AccessKind, LineState], str] = {
+    (_member(_ACCESS, access), _member(_STATE, state)): outcome
+    for (access, state), outcome in spec.LOCAL_DISPATCH.items()
+}
+#: (access, state) -> the state a ``local`` outcome leaves behind.
+LOCAL_NEXT_STATE: Dict[Tuple[AccessKind, LineState], LineState] = {
+    (_member(_ACCESS, access), _member(_STATE, state)): _member(_STATE, target)
+    for (access, state), target in spec.LOCAL_NEXT_STATE.items()
+}
+#: access -> the directory request a miss or an upgrade issues.
+MISS_REQUESTS: Dict[AccessKind, RequestType] = {
+    _member(_ACCESS, access): _member(_REQUEST, request)
+    for access, request in spec.MISS_REQUESTS.items()
+}
+#: (forwarded request, responder state) -> responder next state.
+REMOTE_NEXT_STATE: Dict[Tuple[RequestType, LineState], LineState] = {
+    (_member(_REQUEST, request), _member(_STATE, state)): _member(_STATE, target)
+    for (request, state), target in spec.REMOTE_NEXT_STATE.items()
+}
+#: (request, signature category) -> response; the category is
+#: ``"wsig"`` or ``"rsig_only"`` (no entry: no signature response).
+RESPONSE_TABLE: Dict[Tuple[RequestType, str], ResponseKind] = {
+    (_member(_REQUEST, request), category): _member(_RESPONSE, response)
+    for (request, category), response in spec.RESPONSE_TABLE.items()
+}
+#: (request, signature category) -> responder CST naming the requestor.
+RESPONDER_CST: Dict[Tuple[RequestType, str], str] = {
+    (_member(_REQUEST, request), category): cst
+    for (request, category), cst in spec.RESPONDER_CST.items()
+}
+#: (access, response) -> requestor CST naming the responder.
+REQUESTER_CST: Dict[Tuple[AccessKind, ResponseKind], str] = {
+    (_member(_ACCESS, access), _member(_RESPONSE, response)): cst
+    for (access, response), cst in spec.REQUESTER_CST.items()
+}
+#: request -> (condition, grant) rules, most specific first: GETS follows
+#: spec.GETS_GRANT_RULES; an exclusive request gets its spec.GRANTS state.
+GRANT_RULES: Dict[RequestType, Tuple[Tuple[str, LineState], ...]] = {
+    request: tuple(
+        (condition, _member(_STATE, grant))
+        for condition, grant in (
+            spec.GETS_GRANT_RULES
+            if request is RequestType.GETS
+            else [("otherwise", name) for name in sorted(spec.GRANTS[request.value])]
+        )
+    )
+    for request in RequestType
+}
+#: (access, granted state) -> state installed in the requestor's L1.
+GRANT_INSTALL: Dict[Tuple[AccessKind, LineState], LineState] = {
+    (access, granted): _member(
+        _STATE, spec.GRANT_INSTALL.get((access.value, granted.value), granted.value)
+    )
+    for access in AccessKind
+    for granted in LineState
+}
+#: Figure 3's flash transforms.
+COMMIT_TRANSFORM: Dict[LineState, LineState] = {
+    _member(_STATE, state): _member(_STATE, target)
+    for state, target in spec.COMMIT_TRANSFORM.items()
+}
+ABORT_TRANSFORM: Dict[LineState, LineState] = {
+    _member(_STATE, state): _member(_STATE, target)
+    for state, target in spec.ABORT_TRANSFORM.items()
+}
+
+_require_total(
+    "LOCAL_DISPATCH", LOCAL_DISPATCH, [(kind, state) for kind in AccessKind for state in LineState]
+)
+_require_total(
+    "REMOTE_NEXT_STATE",
+    REMOTE_NEXT_STATE,
+    [(request, state) for request in RequestType for state in LineState],
+)
+_require_total("MISS_REQUESTS", MISS_REQUESTS, AccessKind)
+_require_total("ENCODINGS", ENCODINGS, LineState)
+_require_total("COMMIT_TRANSFORM", COMMIT_TRANSFORM, LineState)
+_require_total("ABORT_TRANSFORM", ABORT_TRANSFORM, LineState)
+for _request, _rules in GRANT_RULES.items():
+    if len(_rules) == 0 or _rules[-1][0] != "otherwise":
+        raise ValueError(f"grant rules for {_request.value} lack a final 'otherwise' rule")

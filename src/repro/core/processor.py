@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.coherence.directory import Directory
 from repro.coherence.l1 import L1Controller
 from repro.coherence.messages import AccessKind, RequestType, ResponseKind
+from repro.coherence.states import REQUESTER_CST, RESPONDER_CST, RESPONSE_TABLE, LineState
 from repro.core.aou import AlertUnit
 from repro.core.cst import ConflictSummaryTables
 from repro.core.descriptor import SavedHardwareState, TransactionDescriptor
@@ -38,6 +39,9 @@ OT_REFILL_CYCLES = 20
 #: Per-line copy-back cost at commit (runs on the controller, but
 #: defines the NACK window seen by other processors).
 OT_COPYBACK_CYCLES_PER_LINE = 20
+#: The CSTs that record a conflict partner (the per-transaction W-R /
+#: W-W statistic of the Figure 4 conflict table).
+_WRITE_CSTS = ("w_r", "w_w")
 
 
 class FlexTMProcessor:
@@ -111,27 +115,34 @@ class FlexTMProcessor:
     def classify_remote(
         self, requestor: int, req_type: RequestType, line_address: int
     ) -> Optional[ResponseKind]:
-        """Signature checks for a forwarded request; sets responder CSTs."""
+        """Signature checks for a forwarded request; sets responder CSTs.
+
+        Wsig is consulted first (a Wsig hit answers regardless of Rsig);
+        the response and the responder CST come from Figure 1's tables.
+        A Wsig hit on a plain GETX sets no CST bit: strong isolation
+        aborts this transaction from the requestor side (Section 3.5).
+        """
         if self._sig_member("wsig", line_address):
-            if req_type is RequestType.GETS:
-                self.csts.w_r.set(requestor)
-                self.conflict_partners.add(requestor)
-            elif req_type is RequestType.TGETX:
-                self.csts.w_w.set(requestor)
-                self.conflict_partners.add(requestor)
-            # Non-transactional GETX: strong isolation — no CST bit, the
-            # requestor aborts this transaction outright (Section 3.5).
+            category = "wsig"
+        elif self._sig_member("rsig", line_address):
+            category = "rsig_only"
+        else:
+            return None
+        response = RESPONSE_TABLE[req_type, category]
+        cst = RESPONDER_CST.get((req_type, category))
+        if cst is not None:
+            self._record_conflict(cst, requestor)
+        if response is ResponseKind.THREATENED:
             self.stats.counter("cst.threatened_responses").increment()
-            return ResponseKind.THREATENED
-        if self._sig_member("rsig", line_address):
-            if req_type is RequestType.TGETX:
-                self.csts.r_w.set(requestor)
-                self.stats.counter("cst.exposed_read_responses").increment()
-                return ResponseKind.EXPOSED_READ
-            if req_type is RequestType.GETX:
-                return ResponseKind.INVALIDATED
-            return ResponseKind.SHARED
-        return None
+        elif response is ResponseKind.EXPOSED_READ:
+            self.stats.counter("cst.exposed_read_responses").increment()
+        return response
+
+    def _record_conflict(self, cst: str, processor: int) -> None:
+        """Set one CST bit; W-R / W-W bits also name a conflict partner."""
+        getattr(self.csts, cst).set(processor)
+        if cst in _WRITE_CSTS:
+            self.conflict_partners.add(processor)
 
     def holds_overflow(self, line_address: int) -> bool:
         return self.ot.lookup(line_address)
@@ -174,13 +185,7 @@ class FlexTMProcessor:
         # Reinstall as TMI; this may evict another line (possibly
         # spilling it right back — the pathological ping-pong a sane OT
         # geometry avoids).
-        from repro.coherence.states import LineState  # local to avoid cycle
-
-        victim = self.l1.array.choose_victim(line_address)
-        if victim is not None:
-            self.l1.evict(victim)
-        line = self.l1.array.install(line_address, LineState.TMI)
-        line.t_bit = True
+        self.l1.install(line_address, LineState.TMI)
         self.stats.counter("ot.refills").increment()
         if self.tracer.enabled:
             self.tracer.overflow(
@@ -195,15 +200,9 @@ class FlexTMProcessor:
     ) -> None:
         """Requestor-side CST updates on conflicting responses."""
         for responder, response in conflicts:
-            if response is ResponseKind.THREATENED:
-                if kind is AccessKind.TLOAD:
-                    self.csts.r_w.set(responder)
-                elif kind is AccessKind.TSTORE:
-                    self.csts.w_w.set(responder)
-                    self.conflict_partners.add(responder)
-            elif response is ResponseKind.EXPOSED_READ and kind is AccessKind.TSTORE:
-                self.csts.w_r.set(responder)
-                self.conflict_partners.add(responder)
+            cst = REQUESTER_CST.get((kind, response))
+            if cst is not None:
+                self._record_conflict(cst, responder)
 
     # -- transaction lifecycle -------------------------------------------------
 

@@ -1,5 +1,6 @@
 """Request/response vocabulary."""
 
+from repro.coherence import spec
 from repro.coherence.messages import AccessKind, AccessResult, RequestType, ResponseKind
 
 
@@ -23,6 +24,17 @@ def test_conflict_signalling():
     # Rsig hit on a non-transactional GETX (strong isolation).
     assert ResponseKind.INVALIDATED.signals_conflict
     assert not ResponseKind.SHARED.signals_conflict
+    # Every signature-table response except plain Shared carries one.
+    conflicting = {
+        response for response in spec.RESPONSE_TABLE.values() if response != "Shared"
+    }
+    for response in ResponseKind:
+        assert response.signals_conflict == (response.value in conflicting)
+
+
+def test_dual_cst_is_an_involution():
+    for table, mirror in spec.DUAL_CST.items():
+        assert spec.DUAL_CST[mirror] == table
 
 
 def test_access_result_defaults():
