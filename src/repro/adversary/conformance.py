@@ -97,7 +97,7 @@ class ScheduleArms(Perturbation):
 
     def arm(self, machine):
         machine.set_invariants(InvariantChecker(strict=self.strict))
-        machine.set_probes(self.probe)
+        machine.observe(self.probe)
 
     def workload(self, backend, cells):
         for index, cell in enumerate(cells):
@@ -117,9 +117,9 @@ class ScheduleArms(Perturbation):
             1 for items in bodies for item in items if item.transactional
         )
 
-    def observe(self, machine, result, run):
+    def observe(self, machine, hub, result, run):
         if result is not None:
-            wasted = machine.metrics.histogram("tx.wasted_cycles")
+            wasted = hub.histogram("tx.wasted_cycles")
             run["wasted_cycles"] = {
                 key: getattr(wasted, key) for key in ("count", "total", "mean", "p95")
             }

@@ -19,16 +19,18 @@ consistency: some single version of the shadow history must explain
 every first-read.  Read-own-writes are excluded (they never touch
 committed state), and untracked addresses are ignored.
 
-The probe follows the None-hook convention (``machine.probes`` defaults
-to ``None``; every access site is guarded), observes only, and mutates
-nothing — an armed run is bit-identical to an unarmed one, a property
-the tests lock across all six backends.
+The probe is an observer on the one tracer channel (armed with
+``machine.observe``; see :class:`~repro.obs.tracer.Tracer`), observes
+only, and mutates nothing — an armed run is bit-identical to an unarmed
+one, a property the tests lock across all seven backends.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
+
+from repro.obs.tracer import Tracer
 
 
 @dataclasses.dataclass(frozen=True)
@@ -53,8 +55,10 @@ class _Attempt:
         self.writes: set = set()
 
 
-class OpacityProbe:
+class OpacityProbe(Tracer):
     """Observes transactional reads against the committed history."""
+
+    enabled = True
 
     def __init__(self) -> None:
         self.machine = None
@@ -79,7 +83,7 @@ class OpacityProbe:
         self._history[address] = []
         self._initial[address] = initial
 
-    # -- machine-level hooks (exact commit points) ---------------------------
+    # -- machine-level events (exact commit points) --------------------------
 
     def on_memory_write(self, address: int, value: int) -> None:
         """A committed write landed (machine.store / successful CAS)."""
@@ -106,9 +110,9 @@ class OpacityProbe:
         for address, value in items:
             self._history[address].append((self._version, value))
 
-    # -- runtime-level hooks (attempt lifecycle) -----------------------------
+    # -- runtime-level events (attempt lifecycle) ----------------------------
 
-    def on_begin(self, thread: int) -> None:
+    def on_begin(self, proc, thread, cycle, system, incarnation):
         self._attempts[thread] = _Attempt()
 
     def on_read(self, thread: int, address: int, value) -> None:
@@ -127,10 +131,10 @@ class OpacityProbe:
             return
         attempt.writes.add(address)
 
-    def on_commit(self, thread: int) -> None:
+    def on_commit(self, proc, thread, cycle):
         self._end(thread, "commit")
 
-    def on_abort(self, thread: int) -> None:
+    def on_abort(self, proc, thread, cycle, cause, by=-1, conflict=""):
         self._end(thread, "abort")
 
     # -- the oracle ----------------------------------------------------------

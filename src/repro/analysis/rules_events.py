@@ -7,10 +7,13 @@ registry, the emit sites, and the docs/tests that import the registry
 in lock-step.
 
 Emit sites are calls on a receiver whose final segment is ``tracer``.
-Fixed-kind methods (``tx_commit`` -> ``tx_commit``) resolve trivially;
-kind-carrying methods (``overflow``, ``sched``, ``coherence``,
-``watchdog``, ``degrade``, ``tx_access``) resolve their literal name
-argument and apply the method's prefix.  A name argument that is a
+Fixed-kind methods (``on_commit`` -> ``tx_commit``) resolve trivially;
+kind-carrying methods (``on_overflow``, ``on_sched``, ``on_coherence``,
+``on_watchdog``, ``on_degrade``, ``on_metrics``, ``on_access``) resolve
+their literal name argument and apply the method's prefix.  Observer
+events that are not trace events (``on_step``, ``on_read``,
+``on_write``, ``on_memory_write``, ``on_commit_flash``) are in neither
+table, so they are neither checked nor registered.  A name argument that is a
 local variable is resolved through single-assignment constant
 propagation inside the enclosing function (this covers the
 ``rw = "read" if ... else "write"`` idiom); anything else is skipped —

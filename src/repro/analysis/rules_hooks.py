@@ -1,19 +1,21 @@
 """SIM-H1xx — hook-site hygiene rules.
 
-Observability (``tracer``, ``metrics``), fault injection (``chaos``)
-and adaptive degradation (``resilience``) are *opt-in* layers: the core
-simulator must run bit-identically with all of them absent.  That only
-holds if every hook use in ``core/``, ``coherence/`` and ``runtime/``
-is behind its guard:
+Observers (the ``tracer`` slot: event tracer, metrics hub, opacity
+probe), fault injection (``chaos``) and adaptive degradation
+(``resilience``) are *opt-in* layers: the core simulator must run
+bit-identically with all of them absent.  That only holds if every hook
+use in ``core/``, ``coherence/`` and ``runtime/`` is behind its guard:
 
-* ``chaos`` / ``metrics`` / ``resilience`` attributes are ``None`` by
-  default, so any member access must be dominated by an ``is not None``
-  check on the same expression (``SIM-H101``);
-* the tracer is a shared ``NULL_TRACER`` whose methods are no-ops, so a
-  bare emit is *functionally* safe — but the performance contract (one
-  attribute read per potential event) and the layering contract (core
-  code never does work on behalf of a disabled layer) require every
-  emit call to be dominated by an ``.enabled`` test (``SIM-H102``).
+* ``chaos`` / ``resilience`` attributes are ``None`` by default, so any
+  member access must be dominated by an ``is not None`` check on the
+  same expression (``SIM-H101``);
+* every observer is reached through ``tracer``, a shared
+  ``NULL_TRACER`` by default whose methods are no-ops, so a bare emit
+  is *functionally* safe — but the performance contract (one attribute
+  read per potential event) and the layering contract (core code never
+  does work on behalf of a disabled layer) require every ``tracer``
+  call, hub and probe events included, to be dominated by an
+  ``.enabled`` test (``SIM-H102``).
 
 "Dominated" is computed per enclosing function with a conservative
 structural walk that understands ``if X is not None:`` bodies,
@@ -34,7 +36,7 @@ from repro.analysis.engine import Finding, ModuleUnit, Rule, dotted_name, regist
 HOOK_SCOPE = ("repro/core/", "repro/coherence/", "repro/runtime/")
 
 #: Optional hooks that default to None.
-OPTIONAL_HOOKS = ("chaos", "metrics", "resilience", "probes")
+OPTIONAL_HOOKS = ("chaos", "resilience")
 
 
 def _in_scope(unit: ModuleUnit) -> bool:

@@ -87,14 +87,14 @@ class LivelockWatchdog:
         self.escalations += 1
         machine.stats.counter("watchdog.escalations").increment()
         if machine.tracer.enabled:
-            machine.tracer.watchdog(now, "escalate", level=self._level)
+            machine.tracer.on_watchdog(now, "escalate", level=self._level)
         if self._level <= self.spec.force_abort_after and self.manager is not None:
             boost = self.manager.escalate(
                 growth=self.spec.backoff_growth, max_boost=self.spec.max_boost
             )
             machine.stats.counter("watchdog.backoff_boosts").increment()
             if machine.tracer.enabled:
-                machine.tracer.watchdog(now, "backoff_boost", boost=boost)
+                machine.tracer.on_watchdog(now, "backoff_boost", boost=boost)
         else:
             self._force_abort_oldest_wounder(machine, now)
 
@@ -106,7 +106,7 @@ class LivelockWatchdog:
             self.manager.reset_escalation()
         machine.stats.counter("watchdog.recoveries").increment()
         if machine.tracer.enabled:
-            machine.tracer.watchdog(now, "recover")
+            machine.tracer.on_watchdog(now, "recover")
 
     def _force_abort_oldest_wounder(self, machine, now: int) -> None:
         """Wound the ACTIVE transaction that has wounded the most.
@@ -136,7 +136,7 @@ class LivelockWatchdog:
             self.forced_aborts += 1
             machine.stats.counter("watchdog.forced_aborts").increment()
             if machine.tracer.enabled:
-                machine.tracer.watchdog(
+                machine.tracer.on_watchdog(
                     now, "forced_abort",
                     thread=victim.thread_id,
                     wounds=victim.wounds_inflicted,

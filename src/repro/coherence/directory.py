@@ -114,14 +114,12 @@ class Directory:
         # Cores-Summary stickiness for descheduled transactions
         # (installed by the virtualization layer).
         self.sticky_check: Optional[Callable] = None
-        # Observability hooks (installed by FlexTMMachine.set_tracer):
-        # the tracer itself and a processor-clock accessor for stamps.
+        # Observability: the machine's observer slot (installed by
+        # FlexTMMachine.observe) and a processor-clock accessor for stamps.
         self.tracer = NULL_TRACER
         self.clock_of: Optional[Callable] = None
         # Fault injection (installed by FlexTMMachine.set_chaos).
         self.chaos = None
-        # Metrics hub (installed by FlexTMMachine.set_metrics).
-        self.metrics = None
 
     def entry(self, line_address: int) -> DirectoryEntry:
         if line_address not in self._entries:
@@ -223,9 +221,6 @@ class Directory:
         grant = self._grant_and_record(requestor, req_type, line_address, entry, responses)
         if self.tracer.enabled:
             self._trace_request(requestor, req_type, line_address, grant.name, responses)
-        if self.metrics is not None:
-            now = self.clock_of(requestor) if self.clock_of is not None else 0
-            self.metrics.on_coherence(requestor, now)
         return DirectoryOutcome(cycles=cycles, responses=responses, grant=grant)
 
     def _trace_request(
@@ -240,12 +235,12 @@ class Directory:
         if not self.tracer.enabled:
             return
         now = self.clock_of(requestor) if self.clock_of is not None else 0
-        self.tracer.coherence(
+        self.tracer.on_coherence(
             requestor, now, "coh_request", line_address,
             detail=f"{req_type.value}->{grant}",
         )
         for responder, kind in responses:
-            self.tracer.coherence(
+            self.tracer.on_coherence(
                 requestor, now, "coh_response", line_address,
                 responder=responder, detail=kind.value,
             )

@@ -14,7 +14,7 @@ that processor's clock, which is what interleaves the simulated threads.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.coherence.directory import Directory
 from repro.coherence.messages import AccessKind, RequestType, ResponseKind
@@ -24,7 +24,7 @@ from repro.core.tsw import TxStatus
 from repro.errors import ProtocolError
 from repro.memory.address import AddressMap
 from repro.memory.main_memory import MainMemory
-from repro.obs.tracer import NULL_TRACER, Tracer, classify_conflict
+from repro.obs.tracer import NULL_TRACER, Fanout, Tracer, classify_conflict
 from repro.params import DEFAULT_PARAMS, SystemParams
 from repro.signatures.summary import SummarySignatures
 from repro.sim.stats import StatsRegistry
@@ -58,6 +58,8 @@ class FlexTMMachine:
     ):
         self.params = params
         self.stats = StatsRegistry()
+        #: The one observer slot (tracer, metrics hub, opacity probe, or
+        #: a Fanout over several); installed by :meth:`observe`.
         self.tracer: Tracer = NULL_TRACER
         self.memory = MainMemory()
         self.amap = AddressMap(params.line_bytes)
@@ -73,6 +75,7 @@ class FlexTMMachine:
         self.directory.nack_check = self._nack_check
         self.directory.sticky_check = self.summary.sticky_sharer
         self.directory.summary_conflict_check = self._summary_conflict_check
+        self.directory.clock_of = lambda p: self.processors[p].clock.now
         #: TSW address -> descriptor, for abort routing.
         self._descriptors_by_tsw: Dict[int, TransactionDescriptor] = {}
         #: thread id -> suspended descriptor (summary-handler registry).
@@ -87,12 +90,6 @@ class FlexTMMachine:
         #: htmbe backend so the invariant checker can see the fallback
         #: lock and serial mode through the machine alone).
         self.htm_fallback = None
-        #: Metrics hub (opt-in, tracer-style; None = no metrics).
-        self.metrics = None
-        #: Opacity/zombie probe layer (opt-in, tracer-style; None = no
-        #: probes).  Purely observational: armed runs are bit-identical
-        #: to unarmed runs.
-        self.probes = None
         #: TSW address -> (wounder proc, conflict kind), staged by the
         #: runtime just before an abort CAS so the hardware-level TSW
         #: write can attribute the wound.
@@ -103,23 +100,29 @@ class FlexTMMachine:
 
     # --------------------------------------------------------------- plumbing
 
-    def set_tracer(self, tracer: Optional[Tracer]) -> None:
-        """Install (or remove, with None) an observability tracer.
+    def observe(self, observer: Tracer) -> None:
+        """Arm one more observer (an EventTracer, MetricsHub, OpacityProbe
+        or any other :class:`Tracer`) next to those already armed.
 
-        The tracer is fanned out to every layer that emits events: the
-        processors (AOU, overflow controller), their L1s (evictions) and
-        the directory (coherence messages).  Tracing is observational
-        only — it never changes a simulated cycle.
+        ``tracer`` stays the only observer slot: it holds the single
+        armed observer, or a :class:`Fanout` over several.  The slot is
+        shared with every layer that emits events: the processors (AOU,
+        overflow controller), their L1s (evictions) and the directory
+        (coherence messages).  Observers never change a simulated cycle.
         """
-        # Explicit None test: an EventTracer with no events yet is falsy
-        # (it defines __len__), and must still install.
-        tracer = NULL_TRACER if tracer is None else tracer
+        current = self.tracer
+        if isinstance(current, Fanout):
+            tracer = Fanout(current.observers + (observer,))
+        elif current.enabled:
+            tracer = Fanout((current, observer))
+        else:
+            tracer = observer
         self.tracer = tracer
         for proc in self.processors:
             proc.tracer = tracer
             proc.l1.tracer = tracer
         self.directory.tracer = tracer
-        self.directory.clock_of = lambda p: self.processors[p].clock.now
+        observer.attach(self)
 
     def set_chaos(self, chaos) -> None:
         """Install (or remove, with None) a fault-injection engine.
@@ -163,35 +166,6 @@ class FlexTMMachine:
         while the fallback lock is held) is checkable from the machine.
         """
         self.htm_fallback = policy
-
-    def set_metrics(self, hub) -> None:
-        """Install (or remove, with None) a metrics hub.
-
-        Fanned out tracer-style to the processors, their L1s, and the
-        directory; every hook site guards on ``metrics is None``, so a
-        metrics-armed run is bit-identical to an unarmed one.
-        """
-        self.metrics = hub
-        for proc in self.processors:
-            proc.metrics = hub
-            proc.l1.metrics = hub
-        self.directory.metrics = hub
-        if hub is not None:
-            self.directory.clock_of = lambda p: self.processors[p].clock.now
-            hub.attach(self)
-
-    def set_probes(self, probes) -> None:
-        """Install (or remove, with None) an opacity/zombie probe layer.
-
-        Probes observe committed memory mutations (at the exact
-        instruction that makes them globally visible) and transactional
-        reads; they never touch simulated state, so an armed run is
-        bit-identical to an unarmed one — the same contract as the
-        tracer and metrics hub.
-        """
-        self.probes = probes
-        if probes is not None:
-            probes.attach(self)
 
     def _forward(
         self, responder: int, requestor: int, req_type: RequestType, line_address: int
@@ -249,28 +223,12 @@ class FlexTMMachine:
         now = proc.clock.now
         thread = proc.current.thread_id if proc.current is not None else -1
         rw = "read" if kind is AccessKind.TLOAD else "write"
-        self.tracer.tx_access(proc.proc_id, thread, now, rw, address)
+        self.tracer.on_access(proc.proc_id, thread, now, rw, address)
         line = self.amap.line_of(address)
         for responder, response in conflicts:
             cst = classify_conflict(kind, response)
             if cst is not None:
-                self.tracer.conflict(proc.proc_id, now, responder, cst, line)
-
-    def _metric_conflicts(
-        self,
-        proc: FlexTMProcessor,
-        kind: AccessKind,
-        conflicts: List[Tuple[int, ResponseKind]],
-    ) -> None:
-        """Feed CST-setting conflicts to the hub (independent of tracing)."""
-        metrics = self.metrics
-        if metrics is None:
-            return
-        now = proc.clock.now
-        for responder, response in conflicts:
-            cst = classify_conflict(kind, response)
-            if cst is not None:
-                metrics.on_conflict(proc.proc_id, now, responder, cst)
+                self.tracer.on_conflict(proc.proc_id, now, responder, cst, line)
 
     # -------------------------------------------------------------- allocator
 
@@ -332,8 +290,8 @@ class FlexTMMachine:
         if self.invariants is not None and address in self._descriptors_by_tsw:
             self.invariants.on_tsw_write(address, self.memory.read(address), value)
         self.memory.write(address, value)
-        if self.probes is not None:
-            self.probes.on_memory_write(address, value)
+        if self.tracer.enabled:
+            self.tracer.on_memory_write(address, value)
         out = MemoryOpResult(cycles=result.cycles, conflicts=conflicts)
         out.value = value
         if aborted:
@@ -341,12 +299,7 @@ class FlexTMMachine:
             if self.tracer.enabled:
                 now = proc.clock.now
                 for victim in aborted:
-                    self.tracer.conflict(proc_id, now, victim, "SI", line)
-            metrics = self.metrics
-            if metrics is not None:
-                now = proc.clock.now
-                for victim in aborted:
-                    metrics.on_conflict(proc_id, now, victim, "SI")
+                    self.tracer.on_conflict(proc_id, now, victim, "SI", line)
         return out
 
     def tload(self, proc_id: int, address: int) -> MemoryOpResult:
@@ -370,7 +323,6 @@ class FlexTMMachine:
             proc.current.accesses += 1
         if self.tracer.enabled:
             self._trace_access(proc, AccessKind.TLOAD, address, conflicts)
-        self._metric_conflicts(proc, AccessKind.TLOAD, conflicts)
         value = self._read_value(proc, address, transactional=True)
         return MemoryOpResult(value=value, cycles=result.cycles + refill_cycles, conflicts=conflicts)
 
@@ -396,7 +348,6 @@ class FlexTMMachine:
             proc.current.accesses += 1
         if self.tracer.enabled:
             self._trace_access(proc, AccessKind.TSTORE, address, conflicts)
-        self._metric_conflicts(proc, AccessKind.TSTORE, conflicts)
         return MemoryOpResult(value=value, cycles=result.cycles + refill_cycles, conflicts=conflicts)
 
     def cas(self, proc_id: int, address: int, expected: int, new: int) -> MemoryOpResult:
@@ -424,8 +375,8 @@ class FlexTMMachine:
             if self.invariants is not None and address in self._descriptors_by_tsw:
                 self.invariants.on_tsw_write(address, old, new)
             self.memory.write(address, new)
-            if self.probes is not None:
-                self.probes.on_memory_write(address, new)
+            if self.tracer.enabled:
+                self.tracer.on_memory_write(address, new)
             out.success = True
             self._on_tsw_write(address, new, by=proc_id)
         else:
@@ -465,8 +416,8 @@ class FlexTMMachine:
         # Flash commit: speculative values become globally visible in
         # the same atomic step the TSW changes.
         self.memory.bulk_write(proc.overlay.items())
-        if self.probes is not None:
-            self.probes.on_commit_flash(proc.overlay)
+        if self.tracer.enabled:
+            self.tracer.on_commit_flash(proc.overlay)
         proc.flash_commit(proc.clock.now + out.cycles)
         out.success = True
         return out

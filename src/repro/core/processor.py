@@ -58,14 +58,12 @@ class FlexTMProcessor:
         self.proc_id = proc_id
         self.params = params
         self.stats = stats or StatsRegistry()
-        #: Observability hook (replaced by FlexTMMachine.set_tracer).
+        #: The machine's observer slot (installed by FlexTMMachine.observe).
         self.tracer = NULL_TRACER
         #: Fault injection (installed by FlexTMMachine.set_chaos).
         self.chaos = None
         #: Degradation controller (installed by set_resilience).
         self.resilience = None
-        #: Metrics hub (installed by FlexTMMachine.set_metrics).
-        self.metrics = None
         self.clock = CycleClock()
         self.rsig = Signature(params.signature_bits, params.signature_hashes)
         self.wsig = Signature(params.signature_bits, params.signature_hashes)
@@ -157,19 +155,15 @@ class FlexTMProcessor:
         self.ot.spill(line_address)
         self.stats.counter("ot.spills").increment()
         if self.tracer.enabled:
-            self.tracer.overflow(
+            self.tracer.on_overflow(
                 self.proc_id, self.clock.now, "spill", line_address, dur=cycles
             )
-        if self.metrics is not None:
-            self.metrics.on_overflow(self.proc_id, self.clock.now, "spill", cycles)
         return cycles
 
     def on_alert(self, line_address: int, reason: str) -> None:
         self.alerts.raise_alert(line_address, reason)
         if self.tracer.enabled:
-            self.tracer.aou_alert(self.proc_id, self.clock.now, line_address, reason)
-        if self.metrics is not None:
-            self.metrics.on_alert(self.proc_id, self.clock.now)
+            self.tracer.on_alert(self.proc_id, self.clock.now, line_address, reason)
 
     # -- transactional access helpers ---------------------------------------------
 
@@ -188,11 +182,9 @@ class FlexTMProcessor:
         self.l1.install(line_address, LineState.TMI)
         self.stats.counter("ot.refills").increment()
         if self.tracer.enabled:
-            self.tracer.overflow(
+            self.tracer.on_overflow(
                 self.proc_id, self.clock.now, "walk", line_address, dur=walk_cycles
             )
-        if self.metrics is not None:
-            self.metrics.on_overflow(self.proc_id, self.clock.now, "walk", walk_cycles)
         return walk_cycles
 
     def note_request_conflicts(
@@ -232,12 +224,8 @@ class FlexTMProcessor:
         if copyback_done > now and self.tracer.enabled:
             # Controller-overlapped drain: informational (the profiler
             # does not charge it to the processor's cycle buckets).
-            self.tracer.overflow(
+            self.tracer.on_overflow(
                 self.proc_id, self.clock.now, "copyback", dur=copyback_done - now
-            )
-        if copyback_done > now and self.metrics is not None:
-            self.metrics.on_overflow(
-                self.proc_id, self.clock.now, "copyback", copyback_done - now
             )
         self.rsig.clear()
         self.wsig.clear()

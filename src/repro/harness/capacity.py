@@ -224,16 +224,9 @@ def run_capacity_command(argv=None) -> int:
                         help="write the JSON sweep report here")
     args = parser.parse_args(argv)
 
-    from repro.harness.runner import comma_list
+    from repro.harness.runner import int_list
 
-    sizes = []
-    for part in comma_list(args.sizes):
-        try:
-            sizes.append(int(part))
-        except ValueError:
-            raise SystemExit(f"bad size {part!r} in --sizes; expected a line count") from None
-    if not sizes:
-        raise SystemExit("no sizes selected")
+    sizes = int_list(args.sizes, "--sizes")
     kwargs = dict(
         threads=args.threads, txns=args.txns, read_lines=args.read_lines,
         write_lines=args.write_lines, cycle_limit=args.cycles,

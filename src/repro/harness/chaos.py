@@ -178,9 +178,9 @@ class Perturbation:
         """The threads to run, and the commits a complete run makes."""
         raise NotImplementedError
 
-    def observe(self, machine: FlexTMMachine, result, run: Dict[str, object]) -> None:
-        """Add this matrix's observations to ``run`` (``result`` is None
-        when the run raised)."""
+    def observe(self, machine: FlexTMMachine, hub, result, run: Dict[str, object]) -> None:
+        """Add this matrix's observations to ``run`` (``hub`` is the
+        cell's MetricsHub; ``result`` is None when the run raised)."""
 
 
 def run_cell(backend_name: str, arms: Perturbation, cycle_limit: int) -> Dict[str, object]:
@@ -198,7 +198,8 @@ def run_cell(backend_name: str, arms: Perturbation, cycle_limit: int) -> Dict[st
     from repro.obs.metrics import MetricsHub
 
     machine = FlexTMMachine(small_test_params(arms.processors))
-    machine.set_metrics(MetricsHub())
+    hub = MetricsHub()
+    machine.observe(hub)
     arms.arm(machine)
     backend = RecordingBackend(SYSTEMS[backend_name](machine, arms.mode))
     line = machine.params.line_bytes
@@ -234,7 +235,7 @@ def run_cell(backend_name: str, arms: Perturbation, cycle_limit: int) -> Dict[st
     else:
         run.update(commits=result.commits, aborts=result.aborts, cycles=result.cycles,
                    aborts_by_kind=dict(result.aborts_by_kind))
-    arms.observe(machine, result, run)
+    arms.observe(machine, hub, result, run)
     # The ladder ranks a raise or a wedge above any oracle verdict, so
     # the oracles judge only complete runs.
     if run["error_kind"] or run["commits"] < expected:
@@ -371,12 +372,12 @@ class FaultArms(Perturbation):
         ]
         return tx_threads, self.processors * self.txns
 
-    def observe(self, machine, result, run):
+    def observe(self, machine, hub, result, run):
         run["escalations"], run["series"] = {}, {}
         if result is not None:
             run["escalations"] = dict(result.escalations)
             run["series"] = {
-                name: machine.metrics.series(name).to_dict()
+                name: hub.series(name).to_dict()
                 for name in ("tx.commits", "tx.aborts")
             }
         run["injected"] = dict(machine.chaos.injected) if machine.chaos else {}

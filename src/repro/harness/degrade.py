@@ -92,8 +92,8 @@ class LadderArms(FaultArms):
         self.controller.bind_manager(getattr(backend.inner, "manager", None))
         return super().workload(backend, cells)
 
-    def observe(self, machine, result, run):
-        super().observe(machine, result, run)
+    def observe(self, machine, hub, result, run):
+        super().observe(machine, hub, result, run)
         run["commits_by_rung"] = dict(self.controller.commits_by_rung)
         recovery = machine.stats.histogram("resilience.recovery_cycles")
         run["recovery"] = {

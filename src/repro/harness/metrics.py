@@ -321,7 +321,7 @@ def run_metrics_command(argv=None) -> int:
     hub = MetricsHub(
         window_cycles=args.window, sample_interval=args.sample_interval
     )
-    config = run_config(args, metrics=hub, degrade=DegradeSpec() if args.degrade else None)
+    config = run_config(args, observers=(hub,), degrade=DegradeSpec() if args.degrade else None)
     result = run_experiment(config)
     workload, system = config.workload, config.system
     label = f"{workload}/{system}/{args.threads}t/{args.mode}/s{args.seed}"

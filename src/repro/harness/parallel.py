@@ -153,13 +153,13 @@ def _run_one(spec: PointSpec):
         from repro.harness.trace import sweep_tracer
 
         tracer = sweep_tracer()
-        config = dataclasses.replace(config, tracer=tracer)
+        config = dataclasses.replace(config, observers=config.observers + (tracer,))
     hub = None
     if spec.metrics_dir:
         from repro.harness.metrics import sweep_hub
 
         hub = sweep_hub()
-        config = dataclasses.replace(config, metrics=hub)
+        config = dataclasses.replace(config, observers=config.observers + (hub,))
     result = _execute_point(config)
     trace_path = None
     if tracer is not None:
@@ -168,8 +168,6 @@ def _run_one(spec: PointSpec):
         trace_path = write_point_trace(
             tracer, spec.trace_dir, spec.trace_name or spec.label or "point"
         )
-        # The tracer stays in the worker; results travel light.
-        result.trace = None
     metrics_path = None
     if hub is not None:
         from repro.harness.metrics import write_point_metrics
@@ -177,8 +175,6 @@ def _run_one(spec: PointSpec):
         metrics_path = write_point_metrics(
             hub, result, spec.metrics_dir, spec.metrics_name or spec.label or "point"
         )
-        # Like the tracer: the hub stays in the worker.
-        result.metrics = None
     return result, trace_path, metrics_path
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.chaos import ChaosEngine, ChaosSpec, InvariantChecker, LivelockWatchdog, WatchdogSpec
 from repro.core.descriptor import ConflictMode
@@ -68,6 +68,23 @@ def comma_list(text: str) -> List[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
+def int_list(text: str, flag: str) -> List[int]:
+    """The integers of a comma-separated flag value (SystemExit on junk).
+
+    Like :func:`resolve_names`, an empty list fails too: it must not
+    silently produce a zero-point sweep.
+    """
+    values = []
+    for part in comma_list(text):
+        try:
+            values.append(int(part))
+        except ValueError:
+            raise SystemExit(f"bad value {part!r} in {flag}; expected an integer") from None
+    if not values:
+        raise SystemExit(f"no {flag.lstrip('-')} selected ({flag} is empty)")
+    return values
+
+
 def resolve_names(names: Sequence[str], choices: Sequence[str], what: str) -> List[str]:
     """Case-insensitively canonicalize a CLI selection of backends,
     workloads, fault profiles or schedules (SystemExit on junk).
@@ -121,9 +138,10 @@ class ExperimentConfig:
     processors: Optional[int] = None
     #: Scheduling quantum in cycles (None = default policy).
     quantum: Optional[int] = None
-    #: Observability: attach an EventTracer to record this run.  The
-    #: default (None) installs the zero-overhead NullTracer.
-    tracer: Optional[Tracer] = None
+    #: Observability: the observers to arm on the run (EventTracer,
+    #: MetricsHub, OpacityProbe, ...; see repro.obs.tracer).  The
+    #: default arms none; armed runs are bit-identical to unarmed runs.
+    observers: Tuple[Tracer, ...] = ()
     #: Robustness: seeded fault-injection schedule (None = no faults).
     chaos: Optional["ChaosSpec"] = None
     #: Robustness: assert protocol invariants during the run.
@@ -133,10 +151,6 @@ class ExperimentConfig:
     #: Resilience: degradation-ladder parameters (None = no controller;
     #: controller-off runs are bit-identical to pre-resilience builds).
     degrade: Optional["DegradeSpec"] = None
-    #: Observability: attach a :class:`repro.obs.metrics.MetricsHub` to
-    #: collect windowed series and histograms (None = no metrics;
-    #: armed runs are bit-identical to unarmed runs).
-    metrics: Optional[object] = None
 
     def resolved_cycle_limit(self) -> int:
         return self.cycle_limit or default_cycle_limit()
@@ -150,14 +164,12 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         raise KeyError(f"unknown system {config.system!r}; have {sorted(SYSTEMS)}")
     params = config.params or DEFAULT_PARAMS
     machine = FlexTMMachine(params, tmi_to_victim=config.tmi_to_victim)
-    if config.tracer is not None:
-        machine.set_tracer(config.tracer)
+    for observer in config.observers:
+        machine.observe(observer)
     if config.chaos is not None:
         machine.set_chaos(ChaosEngine(config.chaos, stats=machine.stats))
     if config.invariants:
         machine.set_invariants(InvariantChecker())
-    if config.metrics is not None:
-        machine.set_metrics(config.metrics)
     controller = None
     if config.degrade is not None:
         controller = ResilienceController(config.degrade)

@@ -175,19 +175,23 @@ def _row(
     return row
 
 
-def _point_spec(config: ExperimentConfig, metrics_out: Optional[str]) -> PointSpec:
+def _point_spec(config: ExperimentConfig, metrics_out: Optional[str],
+                trace_out: Optional[str] = None) -> PointSpec:
     label = (
         f"{config.workload}/{config.system}/{config.threads}t/"
         f"{config.mode.value}/s{config.seed}"
     )
+    name = (
+        f"sweep_{config.workload}_{config.system}_{config.threads}t_"
+        f"{config.mode.value}_s{config.seed}"
+    )
     return PointSpec(
         config=config,
         label=label,
+        trace_dir=trace_out,
+        trace_name=name if trace_out else None,
         metrics_dir=metrics_out,
-        metrics_name=(
-            f"sweep_{config.workload}_{config.system}_{config.threads}t_"
-            f"{config.mode.value}_s{config.seed}"
-        ) if metrics_out else None,
+        metrics_name=name if metrics_out else None,
     )
 
 
@@ -258,7 +262,7 @@ def write_csv(
 
 def run_sweep_command(argv=None) -> int:
     """``python -m repro.harness sweep`` — run a sweep from the shell."""
-    from repro.harness.runner import SYSTEMS, comma_list, resolve_names
+    from repro.harness.runner import SYSTEMS, comma_list, int_list, resolve_names
     from repro.workloads import WORKLOADS
 
     parser = argparse.ArgumentParser(
@@ -305,6 +309,8 @@ def run_sweep_command(argv=None) -> int:
     parser.add_argument("--metrics-out", metavar="DIR",
                         help="write one windowed-metrics JSON artifact "
                         "per point into DIR")
+    parser.add_argument("--trace-out", metavar="DIR",
+                        help="write one Chrome trace per point into DIR")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress per-point progress on stderr")
     args = parser.parse_args(argv)
@@ -312,15 +318,15 @@ def run_sweep_command(argv=None) -> int:
     spec = SweepSpec(
         workloads=resolve_names(comma_list(args.workloads), sorted(WORKLOADS), "workload"),
         systems=resolve_names(comma_list(args.systems), sorted(SYSTEMS), "system"),
-        thread_counts=tuple(int(part) for part in comma_list(args.threads)),
+        thread_counts=tuple(int_list(args.threads, "--threads")),
         modes=tuple(
             ConflictMode(part.lower()) for part in comma_list(args.modes)
         ),
-        seeds=tuple(int(part) for part in comma_list(args.seeds)),
+        seeds=tuple(int_list(args.seeds, "--seeds")),
         cycle_limit=args.cycles,
     )
     configs = list(spec.configs())
-    specs = [_point_spec(config, args.metrics_out) for config in configs]
+    specs = [_point_spec(config, args.metrics_out, args.trace_out) for config in configs]
     jobs = effective_jobs(args.jobs)
     if not args.quiet:
         sys.stderr.write(

@@ -113,7 +113,7 @@ def run_trace_command(argv=None) -> int:
         parser.error("--sample must be >= 1")
 
     tracer = make_tracer(args)
-    config = run_config(args, tracer=tracer)
+    config = run_config(args, observers=(tracer,))
     result = run_experiment(config)
 
     profile = CycleProfiler(tracer).profile()

@@ -2,9 +2,9 @@
 
 The subsystem has four pieces (see docs/OBSERVABILITY.md):
 
-* :mod:`repro.obs.tracer` — the :class:`Tracer` protocol, the
-  zero-overhead :class:`NullTracer` default, and the recording
-  :class:`EventTracer`;
+* :mod:`repro.obs.tracer` — the :class:`Tracer` observer protocol, the
+  zero-overhead :class:`NullTracer` default, the recording
+  :class:`EventTracer`, and the :class:`Fanout` over several observers;
 * :mod:`repro.obs.profiler` — attributes every simulated cycle to
   useful-work / stalled / aborted / overflow-walk / non-tx buckets;
 * :mod:`repro.obs.export` — Chrome/Perfetto ``trace_event`` JSON and
@@ -22,6 +22,7 @@ The subsystem has four pieces (see docs/OBSERVABILITY.md):
 from repro.obs.tracer import (
     CST_KINDS,
     EventTracer,
+    Fanout,
     NULL_TRACER,
     NullTracer,
     TraceEvent,
@@ -33,7 +34,6 @@ from repro.obs.profiler import (
     CycleProfile,
     CycleProfiler,
     ProcessorProfile,
-    profile_run,
 )
 from repro.obs.export import (
     to_chrome_trace,
@@ -68,12 +68,12 @@ __all__ = [
     "NullTracer",
     "NULL_TRACER",
     "EventTracer",
+    "Fanout",
     "TraceEvent",
     "classify_conflict",
     "CycleProfile",
     "CycleProfiler",
     "ProcessorProfile",
-    "profile_run",
     "to_chrome_trace",
     "to_jsonl",
     "validate_chrome_trace",

@@ -11,18 +11,19 @@ observation points into *aggregates with temporal shape*:
   **simulated** clock (never wall-clock, so the ``simcheck`` SIM-D
   determinism rules hold), bounded by ring-style eviction of the oldest
   window.
-* :class:`MetricsHub` — the opt-in sink every simulator layer feeds
-  through None-guarded hooks (the PR 3/4 convention), plus a periodic
-  sampler over the PR 4 pressure sensors (signature fill, FP estimate,
-  OT occupancy, CST density, resilience-rung residency).
+* :class:`MetricsHub` — an observer on the one tracer channel that
+  aggregates the ``on_*`` events it consumes, plus a periodic sampler
+  over the PR 4 pressure sensors (signature fill, FP estimate, OT
+  occupancy, CST density, resilience-rung residency).
 
-The hub is purely observational: hooks never touch simulated state, so
+The hub is purely observational: events never touch simulated state, so
 a metrics-armed run is bit-identical to an unarmed one
 (tests/obs/test_metrics.py).  Everything iterates in sorted order and
 draws no randomness, so the JSON artifact is itself deterministic.
 
 This module imports nothing from the simulator at module level (only
-:mod:`repro.obs.causality`, which is stdlib-pure): ``sim.stats`` imports
+:mod:`repro.obs.causality` and :mod:`repro.obs.tracer`, both
+stdlib-pure): ``sim.stats`` imports
 the percentile helpers from here, and the sampler's
 ``repro.resilience.pressure`` import is deferred into the call.
 """
@@ -32,6 +33,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.obs.causality import AbortRecord
+from repro.obs.tracer import Tracer
 
 #: Percentiles every histogram summary reports.
 PERCENTILES = (0.50, 0.95, 0.99)
@@ -244,15 +246,17 @@ class TimeSeries:
         }
 
 
-class MetricsHub:
+class MetricsHub(Tracer):
     """The deterministic metrics sink for one simulated run.
 
-    Armed via ``ExperimentConfig(metrics=MetricsHub())`` /
-    ``FlexTMMachine.set_metrics``; every simulator hook site guards on
-    ``metrics is None`` so an unarmed run pays one attribute read.  All
-    hooks observe — none mutates simulated state — which is the
-    bit-identical contract the determinism tests pin.
+    An observer on the one :class:`~repro.obs.tracer.Tracer` channel,
+    armed via ``ExperimentConfig(observers=(MetricsHub(),))`` /
+    ``FlexTMMachine.observe``.  All events observe — none mutates
+    simulated state — which is the bit-identical contract the
+    determinism tests pin.
     """
+
+    enabled = True
 
     def __init__(
         self,
@@ -308,23 +312,22 @@ class MetricsHub:
         """Remember the machine (the sampler reads its sensors)."""
         self._machine = machine
 
-    # -- transaction lifecycle hooks (TxThread) --------------------------------
+    # -- transaction lifecycle events (TxThread) -------------------------------
 
-    def on_begin(self, proc: int, thread: int, cycle: int) -> None:
+    def on_begin(self, proc, thread, cycle, system, incarnation):
         self.count("tx.begins")
         self._begin_cycle[thread] = cycle
         self.series("tx.begins").record(cycle)
 
-    def on_commit(self, proc: int, thread: int, cycle: int) -> None:
+    def on_commit(self, proc, thread, cycle):
         self.count("tx.commits")
         self.series("tx.commits").record(cycle)
         begin = self._begin_cycle.pop(thread, None)
         if begin is not None:
             self.histogram("tx.commit_cycles").record(max(0, cycle - begin))
 
-    def on_abort(self, proc: int, thread: int, cycle: int,
-                 by: int, kind: str) -> None:
-        kind = kind or "unattributed"
+    def on_abort(self, proc, thread, cycle, cause, by=-1, conflict=""):
+        kind = conflict or "unattributed"
         self.count("tx.aborts")
         self.count(f"tx.aborts.{kind}")
         self.series("tx.aborts").record(cycle)
@@ -343,50 +346,52 @@ class MetricsHub:
         else:
             self.abort_records_dropped += 1
 
-    # -- conflict / contention hooks (machine, contention manager) -------------
+    # -- conflict / contention events (machine, contention manager) ------------
 
-    def on_conflict(self, proc: int, cycle: int, responder: int,
-                    kind: str) -> None:
+    def on_conflict(self, proc, cycle, responder, cst_kind, line):
         self.count("conflicts.total")
-        self.count(f"conflicts.{kind}")
+        self.count(f"conflicts.{cst_kind}")
         self.series("conflicts").record(cycle)
 
-    def on_stall(self, proc: int, cycle: int, dur: int) -> None:
+    def on_stall(self, proc, cycle, dur, enemy=-1, settled=True):
         self.count("stalls")
         self.histogram("stall_cycles").record(dur)
         self.series("stall_cycles").record(cycle, dur)
 
-    # -- structure hooks (processor, L1, directory) ----------------------------
+    # -- structure events (processor, L1, directory) ---------------------------
 
-    def on_overflow(self, proc: int, cycle: int, what: str, dur: int) -> None:
+    def on_overflow(self, proc, cycle, what, line=-1, dur=0):
         self.count(f"overflow.{what}")
         self.series("overflow.events").record(cycle)
         if dur:
             self.histogram("overflow_cycles").record(dur)
 
-    def on_alert(self, proc: int, cycle: int) -> None:
+    def on_alert(self, proc, cycle, line, reason):
         self.count("aou.alerts")
         self.series("aou.alerts").record(cycle)
 
-    def on_evict(self, proc: int, cycle: int) -> None:
-        self.count("coh.evictions")
+    def on_coherence(self, proc, cycle, msg, line, responder=-1, detail=""):
+        # Messages are completed directory requests: a NACKed request
+        # and the per-response events do not count.
+        if msg == "coh_request" and not detail.endswith("NACK"):
+            self.count("coh.messages")
+            self.series("coh.messages").record(cycle)
+        elif msg == "coh_evict":
+            self.count("coh.evictions")
 
-    def on_coherence(self, proc: int, cycle: int) -> None:
-        self.count("coh.messages")
-        self.series("coh.messages").record(cycle)
+    # -- scheduler and resilience events ---------------------------------------
 
-    # -- scheduler hooks -------------------------------------------------------
-
-    def on_sched(self, proc: int, cycle: int, what: str) -> None:
+    def on_sched(self, proc, cycle, what, thread, status=""):
         self.count(f"sched.{what}")
         if what in ("preempt", "yield"):
             self.series("sched.switches").record(cycle)
 
-    def on_escalation(self, cycle: int, thread: int, rung: str) -> None:
-        self.count(f"resilience.escalations.{rung}")
-        self.series("resilience.escalations").record(cycle)
+    def on_degrade(self, cycle, what, **data):
+        if what == "escalate":
+            self.count(f"resilience.escalations.{data['rung']}")
+            self.series("resilience.escalations").record(cycle)
 
-    def on_step(self, scheduler) -> None:
+    def on_step(self, scheduler):
         """Once per scheduler step; sweeps the sensors every Nth step."""
         self._steps += 1
         if self._steps % self.sample_interval:
@@ -428,7 +433,7 @@ class MetricsHub:
         self.samples_taken += 1
         tracer = machine.tracer
         if tracer.enabled:
-            tracer.metrics(
+            tracer.on_metrics(
                 cycle, "sample",
                 sig_fill_pct=fill_pct, sig_fp_pct=fp_pct,
                 ot_occupancy=ot_occupancy, cst_density=cst_density,

@@ -29,7 +29,7 @@ and satisfied by the next cycles that flush on that processor.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.obs.tracer import EventTracer, TraceEvent
 
@@ -205,10 +205,3 @@ class CycleProfiler:
                 state.pending_tx = stashed.pop(event.thread)
         # All other kinds (reads, conflicts, alerts, coherence) are
         # informational: the flush above already attributed their cycles.
-
-
-def profile_run(trace: Optional[EventTracer]) -> Optional[CycleProfile]:
-    """Convenience: profile a RunResult's trace handle (None-safe)."""
-    if trace is None:
-        return None
-    return CycleProfiler(trace).profile()

@@ -1,7 +1,7 @@
-"""Transaction-lifecycle tracing (the observability tentpole).
+"""The observer protocol: one event channel for every pure observer.
 
 Every layer of the simulator reports structured, cycle-stamped events
-through a :class:`Tracer`.  Two implementations exist:
+through the one :class:`Tracer` protocol held in ``machine.tracer``:
 
 * :class:`NullTracer` — the default.  ``enabled`` is ``False`` and every
   call site guards with ``if tracer.enabled:``, so the hot path pays one
@@ -10,10 +10,15 @@ through a :class:`Tracer`.  Two implementations exist:
   order.  Per-processor streams are cycle-monotonic (each processor's
   clock only moves forward), which is what the cycle-attribution
   profiler and the exporters rely on.
+* :class:`~repro.obs.metrics.MetricsHub` and
+  :class:`~repro.adversary.probes.OpacityProbe` — the other two
+  observers; each overrides only the ``on_*`` events it consumes.
+* :class:`Fanout` — several observers armed at once.
 
-Tracing is purely observational: attaching an :class:`EventTracer`
-never changes a single simulated cycle, so a traced run reproduces the
-untraced run bit for bit (tests/obs/test_trace_integration.py).
+Observing is purely observational: arming any observer never changes a
+single simulated cycle, so an observed run reproduces the unobserved
+run bit for bit (tests/obs/test_trace_integration.py,
+tests/obs/test_observer_fanout.py).
 
 Event taxonomy (the ``kind`` field of :class:`TraceEvent`):
 
@@ -87,85 +92,116 @@ class TraceEvent:
 
 
 class Tracer:
-    """The tracing interface every simulator layer emits through.
+    """The one observer protocol every simulator layer emits through.
+
+    Each event has one no-op ``on_<event>`` method; an observer
+    subclasses this and overrides only the events it consumes.  The
+    machine holds exactly one observer in ``machine.tracer`` (see
+    :meth:`~repro.core.machine.FlexTMMachine.observe`): the shared
+    :data:`NULL_TRACER`, a single armed observer, or a :class:`Fanout`
+    over several.
 
     ``enabled`` is the contract: call sites test it before building any
-    event payload, so a disabled tracer costs one attribute read.
+    event payload, so an unobserved run costs one attribute read per
+    potential event.  Observers never write simulated state, so an
+    observed run is bit-identical to an unobserved one.
     """
 
     enabled = False
 
+    def attach(self, machine) -> None:
+        """Called once when the observer is armed on ``machine``."""
+
     # -- transaction lifecycle -------------------------------------------------
 
-    def tx_begin(self, proc: int, thread: int, cycle: int, system: str,
+    def on_begin(self, proc: int, thread: int, cycle: int, system: str,
                  incarnation: int) -> None:
         pass
 
-    def tx_commit(self, proc: int, thread: int, cycle: int) -> None:
+    def on_commit(self, proc: int, thread: int, cycle: int) -> None:
         pass
 
-    def tx_abort(self, proc: int, thread: int, cycle: int, cause: str,
+    def on_abort(self, proc: int, thread: int, cycle: int, cause: str,
                  by: int = -1, conflict: str = "") -> None:
         pass
 
-    def tx_access(self, proc: int, thread: int, cycle: int, rw: str,
+    def on_access(self, proc: int, thread: int, cycle: int, rw: str,
                   address: int) -> None:
         pass
 
     # -- conflicts and alerts --------------------------------------------------
 
-    def conflict(self, proc: int, cycle: int, responder: int, cst_kind: str,
-                 line: int) -> None:
+    def on_conflict(self, proc: int, cycle: int, responder: int, cst_kind: str,
+                    line: int) -> None:
         pass
 
-    def aou_alert(self, proc: int, cycle: int, line: int, reason: str) -> None:
+    def on_alert(self, proc: int, cycle: int, line: int, reason: str) -> None:
         pass
 
-    def stall(self, proc: int, cycle: int, dur: int, enemy: int = -1,
-              settled: bool = True) -> None:
+    def on_stall(self, proc: int, cycle: int, dur: int, enemy: int = -1,
+                 settled: bool = True) -> None:
         pass
 
     # -- overflow machinery ----------------------------------------------------
 
-    def overflow(self, proc: int, cycle: int, what: str, line: int = -1,
-                 dur: int = 0) -> None:
+    def on_overflow(self, proc: int, cycle: int, what: str, line: int = -1,
+                    dur: int = 0) -> None:
         pass
 
     # -- scheduling ------------------------------------------------------------
 
-    def sched(self, proc: int, cycle: int, what: str, thread: int,
-              status: str = "") -> None:
+    def on_sched(self, proc: int, cycle: int, what: str, thread: int,
+                 status: str = "") -> None:
         pass
+
+    def on_step(self, scheduler) -> None:
+        """Once per scheduler step (not a trace event)."""
 
     # -- coherence -------------------------------------------------------------
 
-    def coherence(self, proc: int, cycle: int, msg: str, line: int,
-                  responder: int = -1, detail: str = "") -> None:
+    def on_coherence(self, proc: int, cycle: int, msg: str, line: int,
+                     responder: int = -1, detail: str = "") -> None:
         pass
 
     # -- liveness watchdog -----------------------------------------------------
 
-    def watchdog(self, cycle: int, what: str, **data) -> None:
+    def on_watchdog(self, cycle: int, what: str, **data) -> None:
         """Watchdog escalation ladder events (escalate/boost/abort/recover)."""
-        pass
 
     # -- degradation ladder ------------------------------------------------------
 
-    def degrade(self, cycle: int, what: str, **data) -> None:
+    def on_degrade(self, cycle: int, what: str, **data) -> None:
         """Resilience-controller actions (escalate/flip/rotate/irrevocable)."""
-        pass
 
     # -- metrics hub -------------------------------------------------------------
 
-    def metrics(self, cycle: int, what: str, **data) -> None:
+    def on_metrics(self, cycle: int, what: str, **data) -> None:
         """Metrics-hub observations (periodic pressure samples)."""
-        pass
+
+    # -- committed memory and logical accesses (not trace events) --------------
+
+    def on_read(self, thread: int, address: int, value: int) -> None:
+        """A transaction's logical read returned ``value``."""
+
+    def on_write(self, thread: int, address: int, value: int) -> None:
+        """A transaction logically wrote ``value``."""
+
+    def on_memory_write(self, address: int, value: int) -> None:
+        """A committed write landed (plain store or successful CAS)."""
+
+    def on_commit_flash(self, overlay) -> None:
+        """A CAS-Commit made a whole write overlay visible at once."""
 
     # -- run boundary ----------------------------------------------------------
 
     def finalize(self, proc_cycles: List[int]) -> None:
         """Called once by the scheduler with each processor's final clock."""
-        pass
+
+
+#: Every method an observer may override (what :class:`Fanout` forwards).
+EVENT_METHODS = tuple(
+    name for name in vars(Tracer) if name.startswith("on_")
+) + ("finalize",)
 
 
 class NullTracer(Tracer):
@@ -176,6 +212,40 @@ class NullTracer(Tracer):
 
 #: Shared do-nothing instance installed everywhere by default.
 NULL_TRACER = NullTracer()
+
+
+def _forward(handlers):
+    """One event method calling every handler in arming order."""
+    if len(handlers) == 1:
+        return handlers[0]
+
+    def forward(*args, **kwargs):
+        for handler in handlers:
+            handler(*args, **kwargs)
+
+    return forward
+
+
+class Fanout(Tracer):
+    """Several armed observers behind the one ``machine.tracer`` slot.
+
+    Each event is forwarded, in arming order, only to the observers
+    that override it, so an observer pays nothing for the events it
+    ignores.  Built by :meth:`~repro.core.machine.FlexTMMachine.observe`.
+    """
+
+    enabled = True
+
+    def __init__(self, observers):
+        self.observers = tuple(observers)
+        for name in EVENT_METHODS:
+            default = getattr(Tracer, name)
+            handlers = [
+                getattr(observer, name) for observer in self.observers
+                if getattr(type(observer), name) is not default
+            ]
+            setattr(self, name, _forward(handlers) if handlers
+                    else getattr(NULL_TRACER, name))
 
 
 class EventTracer(Tracer):
@@ -220,21 +290,21 @@ class EventTracer(Tracer):
 
     # -- transaction lifecycle -------------------------------------------------
 
-    def tx_begin(self, proc, thread, cycle, system, incarnation):
+    def on_begin(self, proc, thread, cycle, system, incarnation):
         self._record(TraceEvent("tx_begin", cycle, proc, thread,
                                 data={"system": system, "incarnation": incarnation}))
 
-    def tx_commit(self, proc, thread, cycle):
+    def on_commit(self, proc, thread, cycle):
         self._record(TraceEvent("tx_commit", cycle, proc, thread))
 
-    def tx_abort(self, proc, thread, cycle, cause, by=-1, conflict=""):
+    def on_abort(self, proc, thread, cycle, cause, by=-1, conflict=""):
         data = {"by": by}
         if conflict:
             data["conflict"] = conflict
         self._record(TraceEvent("tx_abort", cycle, proc, thread, cause=cause,
                                 data=data))
 
-    def tx_access(self, proc, thread, cycle, rw, address):
+    def on_access(self, proc, thread, cycle, rw, address):
         self._access_tick += 1
         if self._access_tick % self.sample_memory:
             return
@@ -242,30 +312,30 @@ class EventTracer(Tracer):
 
     # -- conflicts and alerts --------------------------------------------------
 
-    def conflict(self, proc, cycle, responder, cst_kind, line):
+    def on_conflict(self, proc, cycle, responder, cst_kind, line):
         self._record(TraceEvent("conflict_detected", cycle, proc, line=line,
                                 data={"responder": responder, "cst": cst_kind}))
 
-    def aou_alert(self, proc, cycle, line, reason):
+    def on_alert(self, proc, cycle, line, reason):
         self._record(TraceEvent("aou_alert", cycle, proc, line=line, cause=reason))
 
-    def stall(self, proc, cycle, dur, enemy=-1, settled=True):
+    def on_stall(self, proc, cycle, dur, enemy=-1, settled=True):
         self._record(TraceEvent("conflict_stall", cycle, proc, dur=dur,
                                 data={"enemy": enemy, "settled": settled}))
 
     # -- overflow machinery ----------------------------------------------------
 
-    def overflow(self, proc, cycle, what, line=-1, dur=0):
+    def on_overflow(self, proc, cycle, what, line=-1, dur=0):
         self._record(TraceEvent(f"overflow_{what}", cycle, proc, line=line, dur=dur))
 
     # -- scheduling ------------------------------------------------------------
 
-    def sched(self, proc, cycle, what, thread, status=""):
+    def on_sched(self, proc, cycle, what, thread, status=""):
         self._record(TraceEvent(what, cycle, proc, thread, cause=status))
 
     # -- coherence -------------------------------------------------------------
 
-    def coherence(self, proc, cycle, msg, line, responder=-1, detail=""):
+    def on_coherence(self, proc, cycle, msg, line, responder=-1, detail=""):
         if not self.trace_coherence:
             return
         data = {"responder": responder} if responder >= 0 else None
@@ -274,19 +344,19 @@ class EventTracer(Tracer):
 
     # -- liveness watchdog -----------------------------------------------------
 
-    def watchdog(self, cycle, what, **data):
+    def on_watchdog(self, cycle, what, **data):
         self._record(TraceEvent(f"watchdog_{what}", cycle, proc=-1,
                                 data=dict(data) if data else None))
 
     # -- degradation ladder ------------------------------------------------------
 
-    def degrade(self, cycle, what, **data):
+    def on_degrade(self, cycle, what, **data):
         self._record(TraceEvent(f"degrade_{what}", cycle, proc=-1,
                                 data=dict(data) if data else None))
 
     # -- metrics hub -------------------------------------------------------------
 
-    def metrics(self, cycle, what, **data):
+    def on_metrics(self, cycle, what, **data):
         self._record(TraceEvent(f"metrics_{what}", cycle, proc=-1,
                                 data=dict(data) if data else None))
 

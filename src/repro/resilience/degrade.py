@@ -197,7 +197,7 @@ class ResilienceController:
             self.counters["sig_rotations"] += 1
             self.machine.stats.counter("resilience.sig_rotations").increment()
             if self.machine.tracer.enabled:
-                self.machine.tracer.degrade(
+                self.machine.tracer.on_degrade(
                     self.machine.max_cycle(), "rotate", generation=self.generation
                 )
 
@@ -232,7 +232,7 @@ class ResilienceController:
                 self.counters["policy_flips"] += 1
                 self.machine.stats.counter("resilience.policy_flips").increment()
                 if self.machine.tracer.enabled:
-                    self.machine.tracer.degrade(
+                    self.machine.tracer.on_degrade(
                         self.machine.max_cycle(), "policy_flip",
                         thread=thread.thread_id,
                     )
@@ -268,7 +268,7 @@ class ResilienceController:
         self.counters["irrevocable_grants"] += 1
         machine.stats.counter("resilience.irrevocable_grants").increment()
         if machine.tracer.enabled:
-            machine.tracer.degrade(
+            machine.tracer.on_degrade(
                 machine.max_cycle(), "irrevocable_grant", thread=tid
             )
         while True:
@@ -283,7 +283,7 @@ class ResilienceController:
                     self.counters["irrevocable_drains"] += 1
                     machine.stats.counter("resilience.irrevocable_drains").increment()
                     if machine.tracer.enabled:
-                        machine.tracer.degrade(
+                        machine.tracer.on_degrade(
                             machine.max_cycle(), "irrevocable_drain",
                             thread=descriptor.thread_id,
                         )
@@ -308,7 +308,7 @@ class ResilienceController:
                 max(0, now - start)
             )
             if self.machine.tracer.enabled:
-                self.machine.tracer.degrade(
+                self.machine.tracer.on_degrade(
                     now, "recover", thread=tid, rung=rung.name.lower()
                 )
         self._streaks[tid] = 0
@@ -323,7 +323,7 @@ class ResilienceController:
             self._holder_thread = None
             self.token.release(tid)
             if self.machine.tracer.enabled:
-                self.machine.tracer.degrade(now, "irrevocable_release", thread=tid)
+                self.machine.tracer.on_degrade(now, "irrevocable_release", thread=tid)
         self._in_flight.discard(tid)
         self._attempt_start.pop(tid, None)
 
@@ -356,12 +356,9 @@ class ResilienceController:
             f"resilience.rung.{new.name.lower()}"
         ).increment()
         if self.machine.tracer.enabled:
-            self.machine.tracer.degrade(
+            self.machine.tracer.on_degrade(
                 now, "escalate", thread=tid, rung=new.name.lower(), streak=streak
             )
-        metrics = self.machine.metrics
-        if metrics is not None:
-            metrics.on_escalation(now, tid, new.name.lower())
         if new is Rung.BOOSTED:
             self._boosted.add(tid)
             self.counters["boosts"] += 1

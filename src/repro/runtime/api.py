@@ -88,30 +88,30 @@ class TxContext:
     def __init__(self, backend: TMBackend, thread):
         self._backend = backend
         self._thread = thread
-        #: The machine, for the opt-in probe layer (None when the
-        #: backend is not machine-backed, e.g. bare test doubles).
+        #: The machine, for its observer slot (None when the backend is
+        #: not machine-backed, e.g. bare test doubles).
         self._machine = getattr(backend, "machine", None)
 
     def read(self, address: int) -> Iterator[Tuple]:
         """Transactional read of one word; returns its value.
 
         This is the universal observation chokepoint for the opacity
-        probes: every backend's logical read returns its value here, so
-        an armed ``machine.probes`` sees exactly what the transaction
+        probe: every backend's logical read returns its value here, so an
+        armed observer's ``on_read`` sees exactly what the transaction
         saw — including values a zombie reads before its abort lands.
         """
         value = yield from self._backend.read(self._thread, address)
         machine = self._machine
-        if machine is not None and machine.probes is not None:
-            machine.probes.on_read(self._thread.thread_id, address, value)
+        if machine is not None and machine.tracer.enabled:
+            machine.tracer.on_read(self._thread.thread_id, address, value)
         return value
 
     def write(self, address: int, value: int) -> Iterator[Tuple]:
         """Transactional write of one word."""
         yield from self._backend.write(self._thread, address, value)
         machine = self._machine
-        if machine is not None and machine.probes is not None:
-            machine.probes.on_write(self._thread.thread_id, address, value)
+        if machine is not None and machine.tracer.enabled:
+            machine.tracer.on_write(self._thread.thread_id, address, value)
 
     def work(self, cycles: int) -> Iterator[Tuple]:
         """Non-memory computation inside the transaction."""

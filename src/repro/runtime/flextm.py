@@ -150,18 +150,11 @@ class FlexTMRuntime(TMBackend):
                     yield ("work", backoff)
                     tracer = self.machine.tracer
                     if tracer.enabled and thread.processor is not None:
-                        tracer.stall(
+                        tracer.on_stall(
                             thread.processor,
                             self.machine.processors[thread.processor].clock.now,
                             backoff,
                             enemy=enemy_proc,
-                        )
-                    metrics = self.machine.metrics
-                    if metrics is not None and thread.processor is not None:
-                        metrics.on_stall(
-                            thread.processor,
-                            self.machine.processors[thread.processor].clock.now,
-                            backoff,
                         )
                     # A committing enemy aborts *us* during this window;
                     # the scheduler's abort poll unwinds the generator.

@@ -59,12 +59,6 @@ class RunResult:
     #: rung transitions, irrevocable grants) — empty unless a watchdog
     #: or degradation controller was armed.
     escalations: Dict[str, int] = dataclasses.field(default_factory=dict)
-    #: The run's EventTracer when one was attached (None otherwise).
-    #: Excluded from comparison/repr: tracing never changes the numbers.
-    trace: Optional[object] = dataclasses.field(default=None, compare=False, repr=False)
-    #: The run's MetricsHub when one was armed (None otherwise).
-    #: Excluded from comparison/repr for the same reason as ``trace``.
-    metrics: Optional[object] = dataclasses.field(default=None, compare=False, repr=False)
 
     @property
     def throughput(self) -> float:
@@ -144,7 +138,7 @@ class Scheduler:
             raise SchedulerError("cycle_limit must be positive")
         invariants = self.machine.invariants
         resilience = self.machine.resilience
-        metrics = self.machine.metrics
+        tracer = self.machine.tracer
         director = self.director
         steps = 0
         while True:
@@ -160,8 +154,8 @@ class Scheduler:
                 self.watchdog.observe(self)
             if resilience is not None:
                 resilience.on_step(self)
-            if metrics is not None:
-                metrics.on_step(self)
+            if tracer.enabled:
+                tracer.on_step(self)
             if invariants is not None and steps % invariants.check_interval == 0:
                 invariants.check_machine(self.machine)
         if invariants is not None:
@@ -318,10 +312,7 @@ class Scheduler:
         tracer = self.machine.tracer
         now = self.machine.processors[proc].clock.now
         if tracer.enabled:
-            tracer.sched(proc, now, "preempt", slot.thread.thread_id)
-        metrics = self.machine.metrics
-        if metrics is not None:
-            metrics.on_sched(proc, now, "preempt")
+            tracer.on_sched(proc, now, "preempt", slot.thread.thread_id)
         self._switch_out(proc, slot, "ctxsw.switches")
         self._ready.append(slot)
         self._dispatch(proc)
@@ -334,10 +325,7 @@ class Scheduler:
         tracer = self.machine.tracer
         now = self.machine.processors[proc].clock.now
         if tracer.enabled:
-            tracer.sched(proc, now, "yield", slot.thread.thread_id)
-        metrics = self.machine.metrics
-        if metrics is not None:
-            metrics.on_sched(proc, now, "yield")
+            tracer.on_sched(proc, now, "yield", slot.thread.thread_id)
         self._switch_out(proc, slot, "ctxsw.yields")
         self._ready.append(slot)
         self._dispatch(proc)
@@ -354,12 +342,9 @@ class Scheduler:
             slot.pending_exc = self._abort_exception(thread, "aborted while descheduled")
         tracer = self.machine.tracer
         if tracer.enabled:
-            tracer.sched(
+            tracer.on_sched(
                 proc, clock.now, "dispatch", thread.thread_id, status=status or ""
             )
-        metrics = self.machine.metrics
-        if metrics is not None:
-            metrics.on_sched(proc, clock.now, "dispatch")
         slot.slice_start = clock.now
         self._running[proc] = slot
 
@@ -408,10 +393,7 @@ class Scheduler:
         tracer = self.machine.tracer
         now = self.machine.processors[proc].clock.now
         if tracer.enabled:
-            tracer.sched(proc, now, "preempt", slot.thread.thread_id)
-        metrics = self.machine.metrics
-        if metrics is not None:
-            metrics.on_sched(proc, now, "preempt")
+            tracer.on_sched(proc, now, "preempt", slot.thread.thread_id)
         self._switch_out(proc, slot, "ctxsw.switches")
         self._parked[thread_id] = slot
         return True
@@ -462,14 +444,9 @@ class Scheduler:
         slot.thread.processor = None
         tracer = self.machine.tracer
         if tracer.enabled:
-            tracer.sched(
+            tracer.on_sched(
                 proc, self.machine.processors[proc].clock.now, "retire",
                 slot.thread.thread_id,
-            )
-        metrics = self.machine.metrics
-        if metrics is not None:
-            metrics.on_sched(
-                proc, self.machine.processors[proc].clock.now, "retire"
             )
         self._running.pop(proc, None)
         if self._ready:
@@ -505,9 +482,6 @@ class Scheduler:
         tracer = self.machine.tracer
         if tracer.enabled:
             tracer.finalize([proc.clock.now for proc in self.machine.processors])
-        metrics = self.machine.metrics
-        if metrics is not None:
-            metrics.finalize([proc.clock.now for proc in self.machine.processors])
         return RunResult(
             cycles=elapsed,
             commits=commits,
@@ -526,6 +500,4 @@ class Scheduler:
             conflict_degrees=list(degrees._samples),
             aborts_by_kind=dict(sorted(aborts_by_kind.items())),
             escalations=escalations,
-            trace=tracer if tracer.enabled else None,
-            metrics=metrics,
         )

@@ -100,19 +100,10 @@ class TxThread:
                     self.descriptor.wound_kind = ""
                 tracer = self._tracer()
                 if tracer.enabled:
-                    tracer.tx_begin(
+                    tracer.on_begin(
                         self.processor, self.thread_id, self._now(),
                         self.backend.name, incarnation,
                     )
-                metrics = self._metrics()
-                if metrics is not None:
-                    metrics.on_begin(
-                        self.processor if self.processor is not None else -1,
-                        self.thread_id, self._now(),
-                    )
-                probes = self._probes()
-                if probes is not None:
-                    probes.on_begin(self.thread_id)
                 if resilience is not None:
                     resilience.on_attempt(self, self._now())
                 yield from self.backend.begin(self)
@@ -123,15 +114,7 @@ class TxThread:
                 if resilience is not None:
                     resilience.on_commit(self, self._now())
                 if tracer.enabled:
-                    tracer.tx_commit(self.processor, self.thread_id, self._now())
-                if metrics is not None:
-                    metrics.on_commit(
-                        self.processor if self.processor is not None else -1,
-                        self.thread_id, self._now(),
-                    )
-                probes = self._probes()
-                if probes is not None:
-                    probes.on_commit(self.thread_id)
+                    tracer.on_commit(self.processor, self.thread_id, self._now())
                 return
             except TransactionAborted as abort:
                 self.in_transaction = False
@@ -151,21 +134,12 @@ class TxThread:
                 yield from self.backend.on_abort(self)
                 tracer = self._tracer()
                 if tracer.enabled:
-                    tracer.tx_abort(
+                    tracer.on_abort(
                         self.processor, self.thread_id, self._now(),
                         cause=str(abort) or "aborted",
                         by=by,
                         conflict=conflict,
                     )
-                metrics = self._metrics()
-                if metrics is not None:
-                    metrics.on_abort(
-                        self.processor if self.processor is not None else -1,
-                        self.thread_id, self._now(), by, key,
-                    )
-                probes = self._probes()
-                if probes is not None:
-                    probes.on_abort(self.thread_id)
                 if self.abort_work is not None:
                     yield from self.abort_work(ctx)
                     self.nontx_items += 1
@@ -175,9 +149,7 @@ class TxThread:
                 if backoff:
                     yield ("work", backoff)
                     if tracer.enabled and self.processor is not None:
-                        tracer.stall(self.processor, self._now(), backoff)
-                    if metrics is not None and self.processor is not None:
-                        metrics.on_stall(self.processor, self._now(), backoff)
+                        tracer.on_stall(self.processor, self._now(), backoff)
 
     def _tracer(self):
         machine = getattr(self.backend, "machine", None)
@@ -186,14 +158,6 @@ class TxThread:
     def _resilience(self):
         machine = getattr(self.backend, "machine", None)
         return machine.resilience if machine is not None else None
-
-    def _metrics(self):
-        machine = getattr(self.backend, "machine", None)
-        return machine.metrics if machine is not None else None
-
-    def _probes(self):
-        machine = getattr(self.backend, "machine", None)
-        return machine.probes if machine is not None else None
 
     def _now(self) -> int:
         """The owning processor's current cycle (0 when descheduled)."""

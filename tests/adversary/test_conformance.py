@@ -114,7 +114,7 @@ def _bare_run(backend_name, armed):
     machine = FlexTMMachine(small_test_params(max(spec.threads, 2)))
     if armed:
         probe = OpacityProbe()
-        machine.set_probes(probe)
+        machine.observe(probe)
     line = machine.params.line_bytes
     cells = [machine.allocate(line, line_aligned=True) for _ in range(spec.cells)]
     for index, cell in enumerate(cells):

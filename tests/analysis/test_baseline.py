@@ -12,7 +12,7 @@ from tests.analysis.helpers import analyze_snippet
 _BAD = """
 class Machine:
     def step(self):
-        self.tracer.tx_begin(0, 1, 2)
+        self.tracer.on_begin(0, 1, 2)
 """
 
 
@@ -37,7 +37,7 @@ def test_round_trip_suppresses_the_finding(tmp_path):
 
 
 def test_count_limits_how_many_match(tmp_path):
-    source = _BAD + "        self.tracer.tx_begin(0, 1, 2)\n"
+    source = _BAD + "        self.tracer.on_begin(0, 1, 2)\n"
     report = analyze_snippet(tmp_path, "repro/core/bad.py", source, ["SIM-H102"])
     # Identical message + scope: both findings share one fingerprint.
     fingerprints = {finding.fingerprint() for finding in report.findings}

@@ -10,7 +10,7 @@ from repro.harness.analyze import run_analyze_command
 _BAD = """
 class Machine:
     def step(self):
-        self.tracer.tx_begin(0, 1, 2)
+        self.tracer.on_begin(0, 1, 2)
 """
 
 

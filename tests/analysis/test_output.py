@@ -12,7 +12,7 @@ from tests.analysis.helpers import analyze_snippet
 _BAD = """
 class Machine:
     def step(self):
-        self.tracer.tx_begin(0, 1, 2)
+        self.tracer.on_begin(0, 1, 2)
 """
 
 

@@ -27,7 +27,7 @@ class TestUnregisteredEvent:
             class Sched:
                 def run(self):
                     if self.tracer.enabled:
-                        self.tracer.sched(0, 1, "telport", 2)
+                        self.tracer.on_sched(0, 1, "telport", 2)
             """,
             ["SIM-E201"],
         )
@@ -43,7 +43,7 @@ class TestUnregisteredEvent:
             class Watch:
                 def bark(self, now):
                     if self.tracer.enabled:
-                        self.tracer.watchdog(now, "escalate", tx=3)
+                        self.tracer.on_watchdog(now, "escalate", tx=3)
             """,
             ["SIM-E201"],
         )
@@ -58,7 +58,7 @@ class TestUnregisteredEvent:
                 def trace(self, kind, writing):
                     rw = "read" if not writing else "wrote"
                     if self.tracer.enabled:
-                        self.tracer.tx_access(0, 1, 2, rw, 64)
+                        self.tracer.on_access(0, 1, 2, rw, 64)
             """,
             ["SIM-E201"],
         )
@@ -74,7 +74,7 @@ class TestUnregisteredEvent:
             class Machine:
                 def trace(self, what):
                     if self.tracer.enabled:
-                        self.tracer.degrade(3, what)
+                        self.tracer.on_degrade(3, what)
             """,
             ["SIM-E201"],
         )
@@ -88,13 +88,31 @@ class TestUnregisteredEvent:
             class Machine:
                 def finish(self):
                     if self.tracer.enabled:
-                        self.tracer.tx_commit(0, 1, 2)
-                        self.tracer.conflict(0, 1, 2, "r_w", 64)
+                        self.tracer.on_commit(0, 1, 2)
+                        self.tracer.on_conflict(0, 1, 2, "r_w", 64)
             """,
             ["SIM-E201"],
         )
         assert report.findings == []
 
+
+    def test_observer_events_that_are_not_trace_kinds_are_skipped(self, tmp_path):
+        report = analyze_snippet(
+            tmp_path,
+            "repro/core/ok.py",
+            """
+            class Machine:
+                def step(self, scheduler, address, value):
+                    if self.tracer.enabled:
+                        self.tracer.on_step(scheduler)
+                        self.tracer.on_read(0, address, value)
+                        self.tracer.on_memory_write(address, value)
+                        self.tracer.on_commit_flash({address: value})
+            """,
+            ["SIM-E201"],
+        )
+        assert report.findings == []
+        assert not any(kind.startswith("on_") for kind in EVENT_KINDS)
 
 class TestDeadEvent:
     def test_reports_registered_kind_with_no_emitter(self, tmp_path):
@@ -114,7 +132,7 @@ class TestDeadEvent:
             "class Sched:\n"
             "    def run(self):\n"
             "        if self.tracer.enabled:\n"
-            '            self.tracer.sched(0, 1, "dispatch", 2)\n',
+            '            self.tracer.on_sched(0, 1, "dispatch", 2)\n',
             encoding="utf-8",
         )
         report = run_analysis(
@@ -133,7 +151,7 @@ class TestDeadEvent:
             class Sched:
                 def run(self):
                     if self.tracer.enabled:
-                        self.tracer.sched(0, 1, "dispatch", 2)
+                        self.tracer.on_sched(0, 1, "dispatch", 2)
             """,
             ["SIM-E202"],
         )

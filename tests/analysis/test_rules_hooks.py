@@ -101,7 +101,7 @@ class TestTracerEmitGuard:
             """
             class Machine:
                 def step(self):
-                    self.tracer.tx_begin(0, 1, 2)
+                    self.tracer.on_begin(0, 1, 2)
             """,
             ["SIM-H102"],
         )
@@ -115,7 +115,7 @@ class TestTracerEmitGuard:
             class Machine:
                 def step(self):
                     if self.tracer.enabled:
-                        self.tracer.tx_begin(0, 1, 2)
+                        self.tracer.on_begin(0, 1, 2)
             """,
             ["SIM-H102"],
         )
@@ -130,7 +130,7 @@ class TestTracerEmitGuard:
                 def run(self):
                     tracer = self.machine.tracer
                     if tracer.enabled:
-                        tracer.tx_commit(0, 1, 2)
+                        tracer.on_commit(0, 1, 2)
             """,
             ["SIM-H102"],
         )
@@ -145,7 +145,7 @@ class TestTracerEmitGuard:
                 def _trace_access(self, now):
                     if not self.tracer.enabled:
                         return
-                    self.tracer.tx_access(0, 1, now, "read", 64)
+                    self.tracer.on_access(0, 1, now, "read", 64)
             """,
             ["SIM-H102"],
         )
@@ -164,6 +164,35 @@ class TestTracerEmitGuard:
         )
         assert report.findings == []
 
+    def test_flags_unguarded_probe_event(self, tmp_path):
+        # Hub and probe events travel the same channel, so the same
+        # .enabled guard polices them.
+        report = analyze_snippet(
+            tmp_path,
+            "repro/runtime/bad.py",
+            """
+            class Context:
+                def read(self, machine, address, value):
+                    machine.tracer.on_read(0, address, value)
+            """,
+            ["SIM-H102"],
+        )
+        assert rule_ids(report) == ["SIM-H102"]
+
+    def test_guarded_probe_event_is_clean(self, tmp_path):
+        report = analyze_snippet(
+            tmp_path,
+            "repro/runtime/ok.py",
+            """
+            class Context:
+                def read(self, machine, address, value):
+                    if machine is not None and machine.tracer.enabled:
+                        machine.tracer.on_read(0, address, value)
+            """,
+            ["SIM-H102"],
+        )
+        assert report.findings == []
+
     def test_wrong_alias_guard_still_flags(self, tmp_path):
         # Guarding other.enabled must not license self.tracer emits.
         report = analyze_snippet(
@@ -173,7 +202,7 @@ class TestTracerEmitGuard:
             class Machine:
                 def step(self, other):
                     if other.enabled:
-                        self.tracer.tx_begin(0, 1, 2)
+                        self.tracer.on_begin(0, 1, 2)
             """,
             ["SIM-H102"],
         )
@@ -188,11 +217,11 @@ class TestInlineSuppression:
             """
             class Machine:
                 def step(self):
-                    self.tracer.tx_begin(0, 1, 2)  # simcheck: ignore[SIM-H102]
-                    self.tracer.tx_abort(0, 1, 2)
+                    self.tracer.on_begin(0, 1, 2)  # simcheck: ignore[SIM-H102]
+                    self.tracer.on_abort(0, 1, 2)
             """,
             ["SIM-H102"],
         )
         assert rule_ids(report) == ["SIM-H102"]
         assert len(report.inline_suppressed) == 1
-        assert report.findings[0].message.startswith("self.tracer.tx_abort")
+        assert report.findings[0].message.startswith("self.tracer.on_abort")

@@ -53,6 +53,8 @@ def test_sweep_cli_parallel_csv_and_bench(tmp_path, capsys):
             "--quiet",
             "--csv-out", str(csv_path),
             "--bench-out", str(bench_path),
+            "--trace-out", str(tmp_path / "traces"),
+            "--metrics-out", str(tmp_path / "metrics"),
         ]
     )
     assert code == 0
@@ -63,11 +65,29 @@ def test_sweep_cli_parallel_csv_and_bench(tmp_path, capsys):
     document = json.loads(bench_path.read_text())
     assert validate_bench_payload(document) is None
     assert document["num_points"] == 4
+    # Both observers armed on every point: one trace and one metrics
+    # artifact per point, under the same name.
+    traces = sorted(path.name for path in (tmp_path / "traces").iterdir())
+    assert len(traces) == 4
+    assert traces == sorted(path.name for path in (tmp_path / "metrics").iterdir())
 
 
 def test_sweep_cli_rejects_unknown_workload():
     with pytest.raises(SystemExit):
         main(["sweep", "--workloads", "nope"])
+
+
+@pytest.mark.parametrize("flag", ["--threads", "--seeds"])
+def test_sweep_cli_rejects_a_non_integer_list_entry(flag):
+    with pytest.raises(SystemExit, match=f"'x' in {flag}"):
+        main(["sweep", "--workloads", "HashTable", flag, "2,x"])
+
+
+@pytest.mark.parametrize("flag", ["--threads", "--seeds"])
+def test_sweep_cli_rejects_an_empty_integer_list(flag):
+    # An empty list must not run a zero-point sweep that "passes".
+    with pytest.raises(SystemExit, match=f"no {flag[2:]} selected"):
+        main(["sweep", "--workloads", "HashTable", flag, ""])
 
 
 def test_artifact_jobs_flag(capsys):

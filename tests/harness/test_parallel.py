@@ -196,7 +196,6 @@ def test_parallel_traces_written_by_workers(tmp_path):
     outcomes = run_points(specs, jobs=2)
     for outcome, threads in zip(outcomes, (1, 2)):
         assert outcome.ok
-        assert outcome.result.trace is None  # tracer stays in the worker
         path = tmp_path / f"point_{threads}t.json"
         assert outcome.trace_path == str(path)
         document = json.loads(path.read_text())

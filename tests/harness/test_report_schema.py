@@ -58,7 +58,7 @@ def test_metrics_artifact_totals_schema():
     hub = MetricsHub()
     result = run_experiment(ExperimentConfig(
         workload="HashTable", system="FlexTM", threads=2,
-        cycle_limit=20_000, params=small_test_params(2), metrics=hub,
+        cycle_limit=20_000, params=small_test_params(2), observers=(hub,),
     ))
     document = build_artifact(hub, result, run_info={"label": "schema"})
     assert set(METRICS_REQUIRED_KEYS) <= set(document)
@@ -101,7 +101,7 @@ def test_htmbe_metrics_totals_report_the_commit_paths():
     hub = MetricsHub()
     result = run_experiment(ExperimentConfig(
         workload="HashTable", system="HTM-BE", threads=2,
-        cycle_limit=20_000, params=small_test_params(2), metrics=hub,
+        cycle_limit=20_000, params=small_test_params(2), observers=(hub,),
     ))
     document = build_artifact(hub, result, run_info={"label": "htmbe"})
     totals = document["totals"]

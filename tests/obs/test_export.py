@@ -14,14 +14,14 @@ from repro.obs.tracer import EventTracer
 
 def _lifecycle_tracer():
     tracer = EventTracer()
-    tracer.tx_begin(0, 0, 10, "FlexTM", 1)
-    tracer.conflict(0, 40, 1, "W-W", 256)
-    tracer.stall(0, 70, 25, enemy=1)
-    tracer.tx_abort(0, 0, 80, "wounded", by=1)
-    tracer.tx_begin(0, 0, 90, "FlexTM", 2)
-    tracer.tx_commit(0, 0, 150)
-    tracer.tx_begin(1, 1, 0, "FlexTM", 1)  # never finishes
-    tracer.overflow(1, 30, "spill", 512, dur=20)
+    tracer.on_begin(0, 0, 10, "FlexTM", 1)
+    tracer.on_conflict(0, 40, 1, "W-W", 256)
+    tracer.on_stall(0, 70, 25, enemy=1)
+    tracer.on_abort(0, 0, 80, "wounded", by=1)
+    tracer.on_begin(0, 0, 90, "FlexTM", 2)
+    tracer.on_commit(0, 0, 150)
+    tracer.on_begin(1, 1, 0, "FlexTM", 1)  # never finishes
+    tracer.on_overflow(1, 30, "spill", 512, dur=20)
     tracer.finalize([200, 180])
     return tracer
 

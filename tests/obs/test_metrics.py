@@ -209,14 +209,13 @@ def _config(system, **overrides):
 def test_armed_run_is_bit_identical_to_unarmed(system):
     """The tentpole contract: metrics observe, never perturb."""
     plain = run_experiment(_config(system))
-    armed = run_experiment(_config(system, metrics=MetricsHub()))
-    assert plain == armed  # RunResult equality ignores trace/metrics
+    armed = run_experiment(_config(system, observers=(MetricsHub(),)))
+    assert plain == armed
 
 
 def test_hub_sees_the_run_it_rode():
     hub = MetricsHub()
-    result = run_experiment(_config("FlexTM", metrics=hub))
-    assert result.metrics is hub
+    result = run_experiment(_config("FlexTM", observers=(hub,)))
     assert hub.counters["tx.commits"] == result.commits
     assert hub.counters.get("tx.aborts", 0) == result.aborts
     assert hub.samples_taken > 0
@@ -224,15 +223,11 @@ def test_hub_sees_the_run_it_rode():
     assert max(hub.proc_cycles) == hub.gauges["cycles.total"].value
 
 
-def test_unarmed_run_result_has_no_metrics():
-    assert run_experiment(_config("FlexTM")).metrics is None
-
-
 def test_artifact_is_deterministic_and_valid():
     documents = []
     for _ in range(2):
         hub = MetricsHub()
-        result = run_experiment(_config("FlexTM", metrics=hub))
+        result = run_experiment(_config("FlexTM", observers=(hub,)))
         documents.append(build_artifact(hub, result, run_info={"label": "t"}))
     assert documents[0] == documents[1]
     assert validate_metrics_artifact(documents[0]) is None
@@ -241,9 +236,24 @@ def test_artifact_is_deterministic_and_valid():
 def test_hub_bounds_abort_records():
     hub = MetricsHub(max_abort_records=2)
     for cycle in (10, 20, 30, 40):
-        hub.on_abort(0, 0, cycle, by=1, kind="W-W")
+        hub.on_abort(0, 0, cycle, "wounded", by=1, conflict="W-W")
     assert len(hub.abort_records) == 2
     assert hub.abort_records_dropped == 2
+
+
+def test_hub_counts_only_the_coherence_and_degrade_events_it_owns():
+    hub = MetricsHub()
+    hub.on_coherence(0, 10, "coh_request", 64, detail="GETS->S")
+    hub.on_coherence(0, 11, "coh_request", 64, detail="GETX->NACK")
+    hub.on_coherence(0, 12, "coh_response", 64, responder=1, detail="Shared")
+    hub.on_coherence(0, 13, "coh_evict", 128, detail="M")
+    hub.on_degrade(20, "escalate", thread=1, rung="boosted", streak=2)
+    hub.on_degrade(21, "rotate", generation=1)
+    assert hub.counters == {
+        "coh.messages": 1,
+        "coh.evictions": 1,
+        "resilience.escalations.boosted": 1,
+    }
 
 
 def test_degrade_armed_hub_samples_rung_census():
@@ -253,7 +263,7 @@ def test_degrade_armed_hub_samples_rung_census():
     run_experiment(
         _config(
             "FlexTM",
-            metrics=hub,
+            observers=(hub,),
             degrade=DegradeSpec(boost_after=1, eager_after=2,
                                 irrevocable_after=3),
         )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs.profiler import BUCKETS, CycleProfiler, profile_run
+from repro.obs.profiler import BUCKETS, CycleProfiler
 from repro.obs.tracer import EventTracer
 
 
@@ -17,8 +17,8 @@ def test_requires_finalized_tracer():
 
 def test_committed_attempt_counts_as_useful_work():
     tracer = EventTracer()
-    tracer.tx_begin(0, 0, 100, "FlexTM", 1)
-    tracer.tx_commit(0, 0, 400)
+    tracer.on_begin(0, 0, 100, "FlexTM", 1)
+    tracer.on_commit(0, 0, 400)
     tracer.finalize([500])
     profile = _profiled(tracer)
     proc = profile.processors[0]
@@ -29,8 +29,8 @@ def test_committed_attempt_counts_as_useful_work():
 
 def test_aborted_attempt_counts_as_discarded():
     tracer = EventTracer()
-    tracer.tx_begin(0, 0, 0, "FlexTM", 1)
-    tracer.tx_abort(0, 0, 250, "wounded", by=1)
+    tracer.on_begin(0, 0, 0, "FlexTM", 1)
+    tracer.on_abort(0, 0, 250, "wounded", by=1)
     tracer.finalize([250])
     profile = _profiled(tracer)
     assert profile.processors[0].aborted_discarded == 250
@@ -39,10 +39,10 @@ def test_aborted_attempt_counts_as_discarded():
 
 def test_abort_then_commit_attributes_each_attempt():
     tracer = EventTracer()
-    tracer.tx_begin(0, 0, 0, "FlexTM", 1)
-    tracer.tx_abort(0, 0, 100, "wounded", by=1)
-    tracer.tx_begin(0, 0, 100, "FlexTM", 2)
-    tracer.tx_commit(0, 0, 350)
+    tracer.on_begin(0, 0, 0, "FlexTM", 1)
+    tracer.on_abort(0, 0, 100, "wounded", by=1)
+    tracer.on_begin(0, 0, 100, "FlexTM", 2)
+    tracer.on_commit(0, 0, 350)
     tracer.finalize([350])
     proc = _profiled(tracer).processors[0]
     assert proc.aborted_discarded == 100
@@ -51,10 +51,10 @@ def test_abort_then_commit_attributes_each_attempt():
 
 def test_settled_stall_moves_cycles_out_of_attempt():
     tracer = EventTracer()
-    tracer.tx_begin(0, 0, 0, "FlexTM", 1)
+    tracer.on_begin(0, 0, 0, "FlexTM", 1)
     # 80 cycles elapsed inside the attempt; 50 of them were backoff.
-    tracer.stall(0, 80, 50, enemy=1)
-    tracer.tx_commit(0, 0, 100)
+    tracer.on_stall(0, 80, 50, enemy=1)
+    tracer.on_commit(0, 0, 100)
     tracer.finalize([100])
     proc = _profiled(tracer).processors[0]
     assert proc.stalled_on_conflict == 50
@@ -64,9 +64,9 @@ def test_settled_stall_moves_cycles_out_of_attempt():
 
 def test_stall_outside_transaction_comes_from_non_tx():
     tracer = EventTracer()
-    tracer.tx_begin(0, 0, 0, "FlexTM", 1)
-    tracer.tx_abort(0, 0, 60, "wounded")
-    tracer.stall(0, 100, 40)  # retry backoff after the abort
+    tracer.on_begin(0, 0, 0, "FlexTM", 1)
+    tracer.on_abort(0, 0, 60, "wounded")
+    tracer.on_stall(0, 100, 40)  # retry backoff after the abort
     tracer.finalize([100])
     proc = _profiled(tracer).processors[0]
     assert proc.stalled_on_conflict == 40
@@ -77,11 +77,11 @@ def test_stall_outside_transaction_comes_from_non_tx():
 
 def test_deferred_overflow_satisfied_by_later_flush():
     tracer = EventTracer()
-    tracer.tx_begin(0, 0, 0, "FlexTM", 1)
+    tracer.on_begin(0, 0, 0, "FlexTM", 1)
     # Spill announced mid-operation at cycle 50, 20 cycles of walk; the
     # clock lands them when the operation retires.
-    tracer.overflow(0, 50, "spill", 64, dur=20)
-    tracer.tx_commit(0, 0, 100)
+    tracer.on_overflow(0, 50, "spill", 64, dur=20)
+    tracer.on_commit(0, 0, 100)
     tracer.finalize([100])
     proc = _profiled(tracer).processors[0]
     assert proc.overflow_walk == 20
@@ -91,7 +91,7 @@ def test_deferred_overflow_satisfied_by_later_flush():
 
 def test_cut_off_attempt_is_discarded():
     tracer = EventTracer()
-    tracer.tx_begin(0, 0, 10, "FlexTM", 1)
+    tracer.on_begin(0, 0, 10, "FlexTM", 1)
     tracer.finalize([300])  # run ended mid-attempt
     proc = _profiled(tracer).processors[0]
     assert proc.aborted_discarded == 290
@@ -100,10 +100,10 @@ def test_cut_off_attempt_is_discarded():
 
 def test_preempt_stashes_and_dispatch_restores():
     tracer = EventTracer()
-    tracer.tx_begin(0, 3, 0, "FlexTM", 1)
-    tracer.sched(0, 100, "preempt", 3)
-    tracer.sched(0, 150, "dispatch", 3, status="ok")
-    tracer.tx_commit(0, 3, 250)
+    tracer.on_begin(0, 3, 0, "FlexTM", 1)
+    tracer.on_sched(0, 100, "preempt", 3)
+    tracer.on_sched(0, 150, "dispatch", 3, status="ok")
+    tracer.on_commit(0, 3, 250)
     tracer.finalize([250])
     proc = _profiled(tracer).processors[0]
     # 100 pre-switch + 100 post-resume attempt cycles commit; the 50
@@ -115,10 +115,10 @@ def test_preempt_stashes_and_dispatch_restores():
 
 def test_aborted_while_descheduled_discards_stash():
     tracer = EventTracer()
-    tracer.tx_begin(0, 3, 0, "FlexTM", 1)
-    tracer.sched(0, 100, "preempt", 3)
-    tracer.sched(0, 150, "dispatch", 3, status="aborted")
-    tracer.tx_abort(0, 3, 160, "aborted while descheduled")
+    tracer.on_begin(0, 3, 0, "FlexTM", 1)
+    tracer.on_sched(0, 100, "preempt", 3)
+    tracer.on_sched(0, 150, "dispatch", 3, status="aborted")
+    tracer.on_abort(0, 3, 160, "aborted while descheduled")
     tracer.finalize([160])
     proc = _profiled(tracer).processors[0]
     # Pre-switch work (100) was stashed and the resume came back
@@ -131,12 +131,12 @@ def test_aborted_while_descheduled_discards_stash():
 
 def test_sum_invariant_synthetic_multiprocessor():
     tracer = EventTracer()
-    tracer.tx_begin(0, 0, 5, "FlexTM", 1)
-    tracer.stall(0, 60, 30, enemy=1)
-    tracer.tx_commit(0, 0, 90)
-    tracer.tx_begin(1, 1, 0, "FlexTM", 1)
-    tracer.overflow(1, 40, "walk", 128, dur=20)
-    tracer.tx_abort(1, 1, 80, "wounded", by=0)
+    tracer.on_begin(0, 0, 5, "FlexTM", 1)
+    tracer.on_stall(0, 60, 30, enemy=1)
+    tracer.on_commit(0, 0, 90)
+    tracer.on_begin(1, 1, 0, "FlexTM", 1)
+    tracer.on_overflow(1, 40, "walk", 128, dur=20)
+    tracer.on_abort(1, 1, 80, "wounded", by=0)
     tracer.finalize([120, 95, 30])
     profile = _profiled(tracer)
     assert profile.total_cycles == 120 + 95 + 30
@@ -144,10 +144,3 @@ def test_sum_invariant_synthetic_multiprocessor():
     assert sum(aggregate[bucket] for bucket in BUCKETS) == profile.total_cycles
     # The idle third processor is pure non-tx.
     assert profile.processors[2].non_tx == 30
-
-
-def test_profile_run_is_none_safe():
-    assert profile_run(None) is None
-    tracer = EventTracer()
-    tracer.finalize([10])
-    assert profile_run(tracer).total_cycles == 10

@@ -28,7 +28,7 @@ def _pair(**kwargs):
     """Run the same config untraced and traced; return both results."""
     untraced = run_experiment(ExperimentConfig(**kwargs))
     tracer = EventTracer()
-    traced = run_experiment(ExperimentConfig(tracer=tracer, **kwargs))
+    traced = run_experiment(ExperimentConfig(observers=(tracer,), **kwargs))
     return untraced, traced, tracer
 
 
@@ -37,10 +37,10 @@ def test_traced_run_is_bit_identical(system):
     untraced, traced, tracer = _pair(
         workload="HashTable", system=system, threads=4, cycle_limit=CYCLES
     )
-    # RunResult's == ignores the trace handle by design, so this compares
-    # cycles, commits, aborts, per-thread numbers and the stats snapshot.
+    # Compares cycles, commits, aborts, per-thread numbers and the
+    # stats snapshot.
     assert untraced == traced
-    assert traced.trace is tracer
+    assert tracer.proc_cycles, "the tracer saw the run end"
 
 
 def test_traced_run_identical_under_preemption():
@@ -70,7 +70,7 @@ def test_profile_invariant_with_overflow_traffic():
         ExperimentConfig(
             workload="RandomGraph", system="FlexTM", threads=2,
             mode=ConflictMode.LAZY, cycle_limit=CYCLES,
-            params=overflow_params(), tracer=tracer,
+            params=overflow_params(), observers=(tracer,),
         )
     )
     assert tracer.by_kind("overflow_spill"), "geometry should spill"

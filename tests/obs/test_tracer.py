@@ -15,22 +15,22 @@ from repro.obs.tracer import (
 def test_null_tracer_is_disabled_and_silent():
     assert NULL_TRACER.enabled is False
     # Every hook is a no-op; none may raise.
-    NULL_TRACER.tx_begin(0, 0, 0, "FlexTM", 1)
-    NULL_TRACER.tx_commit(0, 0, 10)
-    NULL_TRACER.tx_abort(0, 0, 10, "cause", by=1)
-    NULL_TRACER.conflict(0, 5, 1, "R-W", 64)
-    NULL_TRACER.stall(0, 5, 10)
-    NULL_TRACER.overflow(0, 5, "spill", 64, dur=20)
-    NULL_TRACER.sched(0, 5, "preempt", 0)
-    NULL_TRACER.coherence(0, 5, "coh_request", 64)
+    NULL_TRACER.on_begin(0, 0, 0, "FlexTM", 1)
+    NULL_TRACER.on_commit(0, 0, 10)
+    NULL_TRACER.on_abort(0, 0, 10, "cause", by=1)
+    NULL_TRACER.on_conflict(0, 5, 1, "R-W", 64)
+    NULL_TRACER.on_stall(0, 5, 10)
+    NULL_TRACER.on_overflow(0, 5, "spill", 64, dur=20)
+    NULL_TRACER.on_sched(0, 5, "preempt", 0)
+    NULL_TRACER.on_coherence(0, 5, "coh_request", 64)
     NULL_TRACER.finalize([100])
 
 
 def test_event_tracer_records_in_emission_order():
     tracer = EventTracer()
-    tracer.tx_begin(0, 0, 10, "FlexTM", 1)
-    tracer.conflict(0, 20, 1, "W-W", 128)
-    tracer.tx_commit(0, 0, 30)
+    tracer.on_begin(0, 0, 10, "FlexTM", 1)
+    tracer.on_conflict(0, 20, 1, "W-W", 128)
+    tracer.on_commit(0, 0, 30)
     kinds = [event.kind for event in tracer.events]
     assert kinds == ["tx_begin", "conflict_detected", "tx_commit"]
     cycles = [event.cycle for event in tracer.events]
@@ -39,7 +39,7 @@ def test_event_tracer_records_in_emission_order():
 
 def test_tx_begin_carries_system_and_incarnation():
     tracer = EventTracer()
-    tracer.tx_begin(2, 7, 100, "TL2", 3)
+    tracer.on_begin(2, 7, 100, "TL2", 3)
     event = tracer.events[0]
     assert event.proc == 2 and event.thread == 7
     assert event.data == {"system": "TL2", "incarnation": 3}
@@ -47,7 +47,7 @@ def test_tx_begin_carries_system_and_incarnation():
 
 def test_abort_event_attributes_cause_and_wounder():
     tracer = EventTracer()
-    tracer.tx_abort(1, 4, 500, "self-abort by conflict manager", by=3)
+    tracer.on_abort(1, 4, 500, "self-abort by conflict manager", by=3)
     event = tracer.events[0]
     assert event.kind == "tx_abort"
     assert event.cause == "self-abort by conflict manager"
@@ -57,14 +57,14 @@ def test_abort_event_attributes_cause_and_wounder():
 def test_memory_access_sampling():
     tracer = EventTracer(sample_memory=4)
     for index in range(16):
-        tracer.tx_access(0, 0, index, "read", 64 * index)
+        tracer.on_access(0, 0, index, "read", 64 * index)
     assert len(tracer.by_kind("tx_read")) == 4
 
 
 def test_sample_memory_one_records_everything():
     tracer = EventTracer(sample_memory=1)
     for index in range(5):
-        tracer.tx_access(0, 0, index, "write", 64)
+        tracer.on_access(0, 0, index, "write", 64)
     assert len(tracer.by_kind("tx_write")) == 5
 
 
@@ -75,17 +75,17 @@ def test_sample_memory_validation():
 
 def test_coherence_gating():
     tracer = EventTracer(trace_coherence=False)
-    tracer.coherence(0, 10, "coh_request", 64, detail="GETS->S")
+    tracer.on_coherence(0, 10, "coh_request", 64, detail="GETS->S")
     assert len(tracer) == 0
     tracer2 = EventTracer(trace_coherence=True)
-    tracer2.coherence(0, 10, "coh_request", 64, detail="GETS->S")
+    tracer2.on_coherence(0, 10, "coh_request", 64, detail="GETS->S")
     assert tracer2.events[0].cause == "GETS->S"
 
 
 def test_max_events_counts_dropped():
     tracer = EventTracer(max_events=2)
     for cycle in range(5):
-        tracer.tx_commit(0, 0, cycle)
+        tracer.on_commit(0, 0, cycle)
     assert len(tracer) == 2
     assert tracer.dropped == 3
 
@@ -98,9 +98,9 @@ def test_finalize_stores_processor_clocks():
 
 def test_per_processor_grouping():
     tracer = EventTracer()
-    tracer.tx_commit(0, 0, 5)
-    tracer.tx_commit(1, 1, 6)
-    tracer.tx_commit(0, 2, 7)
+    tracer.on_commit(0, 0, 5)
+    tracer.on_commit(1, 1, 6)
+    tracer.on_commit(0, 2, 7)
     grouped = tracer.per_processor()
     assert [event.cycle for event in grouped[0]] == [5, 7]
     assert [event.cycle for event in grouped[1]] == [6]
@@ -108,7 +108,7 @@ def test_per_processor_grouping():
 
 def test_event_to_dict_drops_defaults():
     tracer = EventTracer()
-    tracer.tx_commit(3, 1, 42)
+    tracer.on_commit(3, 1, 42)
     payload = tracer.events[0].to_dict()
     assert payload == {"kind": "tx_commit", "cycle": 42, "proc": 3, "thread": 1}
 

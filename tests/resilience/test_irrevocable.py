@@ -95,7 +95,7 @@ def _contended_run():
         chaos=ChaosSpec(seed=11, sched_preempt=0.002, sig_false_positive=0.05),
         invariants=True,
         degrade=DegradeSpec(boost_after=1, eager_after=1, irrevocable_after=2),
-        tracer=tracer,
+        observers=(tracer,),
     )
     return run_experiment(config), tracer
 

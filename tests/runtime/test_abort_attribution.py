@@ -29,7 +29,7 @@ def _contended(system, mode=ConflictMode.EAGER, tracer=None, threads=4):
         cycle_limit=80_000,
         seed=3,
         params=small_test_params(4),
-        tracer=tracer,
+        observers=(tracer,) if tracer is not None else (),
     )
 
 
