@@ -156,8 +156,7 @@ class L1Controller:
                 self.directory.writeback(self.proc_id, line_address)
                 self.stats.counter("l1.m_to_tmi_flush").increment()
                 cycles += 2
-            line.state = next_state
-            line.t_bit = next_state.is_transactional
+            self.array.set_state(line, next_state)
         return AccessResult(cycles=cycles, state=next_state)
 
     def _request(self, kind: AccessKind, request: RequestType, line_address: int) -> AccessResult:
@@ -180,8 +179,7 @@ class L1Controller:
                 self._drop_line(existing)
             result.state = LineState.I
         elif existing is not None:
-            existing.state = installed
-            existing.t_bit = installed.is_transactional
+            self.array.set_state(existing, installed)
         else:
             self.install(line_address, installed)
         return result
@@ -191,9 +189,7 @@ class L1Controller:
         victim = self.array.choose_victim(line_address)
         if victim is not None:
             self.evict(victim)
-        line = self.array.install(line_address, state)
-        line.t_bit = state.is_transactional
-        return line
+        return self.array.install(line_address, state)
 
     # --------------------------------------------------------------- eviction
 
@@ -269,7 +265,7 @@ class L1Controller:
                 if next_state is LineState.I:
                     self._drop_line(line)
                 else:
-                    line.state = next_state
+                    self.array.set_state(line, next_state)
         # A silently evicted copy in the victim buffer follows the same
         # table (TMI lines never sit there: they spill to the OT).
         refill = self.victims.extract(line_address)

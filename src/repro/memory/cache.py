@@ -4,6 +4,8 @@ The array stores :class:`CacheLine` records carrying the coherence state
 bits of Figure 2: the MESI state is encoded by the protocol layer; the
 ``T`` (transactional/TMI or TI) and ``A`` (alert-on-update mark) bits
 live here so the flash-clear commit/abort operations can sweep them.
+The array indexes the lines whose T bit is set, so a flash sweep visits
+only those lines, as the one-cycle conditional clear of Figure 3 does.
 """
 
 from __future__ import annotations
@@ -56,6 +58,10 @@ class CacheArray:
         self.associativity = associativity
         self._sets: List[Dict[int, CacheLine]] = [{} for _ in range(num_sets)]
         self._use_tick = 0
+        #: line address -> line, for every line whose T bit is set.
+        #: :meth:`set_state`, :meth:`install` and :meth:`remove` keep it
+        #: in step; callers never write ``state`` or ``t_bit`` directly.
+        self._t_lines: Dict[int, CacheLine] = {}
 
     def _set_for(self, line_address: int) -> Dict[int, CacheLine]:
         return self._sets[line_address & (self.num_sets - 1)]
@@ -97,13 +103,24 @@ class CacheArray:
         if valid >= self.associativity:
             raise ProtocolError(f"set for 0x{line_address:x} is full; evict first")
         self._use_tick += 1
-        line = CacheLine(line_address=line_address, state=state, last_use=self._use_tick)
+        line = CacheLine(line_address=line_address, last_use=self._use_tick)
         cache_set[line_address] = line
+        self.set_state(line, state)
         return line
+
+    def set_state(self, line: CacheLine, state: LineState) -> None:
+        """Move a resident line to ``state``, keeping T bit and T-line index in step."""
+        line.state = state
+        line.t_bit = state.is_transactional
+        if line.t_bit:
+            self._t_lines[line.line_address] = line
+        else:
+            self._t_lines.pop(line.line_address, None)
 
     def remove(self, line_address: int) -> None:
         """Drop a line entirely (post-eviction cleanup)."""
         self._set_for(line_address).pop(line_address, None)
+        self._t_lines.pop(line_address, None)
 
     def valid_lines(self) -> Iterator[CacheLine]:
         """All lines whose state is not I."""
@@ -120,22 +137,19 @@ class CacheArray:
         return sum(1 for line in cache_set.values() if line.state is not LineState.I)
 
     def flash_transform(self, transform: Callable[[CacheLine], None]) -> int:
-        """Apply a state transform to every valid line; returns lines touched.
+        """Apply a state transform to every T line; returns lines visited.
 
-        Models the flash commit/abort hardware: a single-cycle sweep
-        conditioned on the T bits.
+        Models the flash commit/abort hardware: a single-cycle clear
+        conditioned on the T bits.  Only the indexed lines are visited,
+        so the cost is proportional to the number of T lines, not the
+        array size; Figure 3's transforms map S, E and M to themselves.
+        The transform must clear the T bit (the index is emptied); lines
+        it invalidates are dropped from the array.
         """
-        touched = 0
-        for cache_set in self._sets:
-            dead = []
-            for line in cache_set.values():
-                if line.state is LineState.I:
-                    dead.append(line.line_address)
-                    continue
-                transform(line)
-                touched += 1
-                if line.state is LineState.I:
-                    dead.append(line.line_address)
-            for address in dead:
-                cache_set.pop(address, None)
-        return touched
+        swept, self._t_lines = self._t_lines, {}
+        mask = self.num_sets - 1
+        for address, line in swept.items():
+            transform(line)
+            if line.state is LineState.I:
+                self._sets[address & mask].pop(address, None)
+        return len(swept)

@@ -3,7 +3,8 @@
 The executor always steps the thread whose processor clock is furthest
 behind (ties broken by processor id), so simulated interleavings follow
 the relative progress of the cores — the property that makes contention
-pathologies reproducible (DESIGN.md §4).
+pathologies reproducible (DESIGN.md §4).  The pick comes from a lazy
+min-heap of ``(clock, proc)`` entries rather than a scan of every core.
 
 With more threads than processors (or an explicit quantum) the
 scheduler context-switches: the OS path spills the running
@@ -27,7 +28,8 @@ from __future__ import annotations
 
 import collections
 import dataclasses
-from typing import Dict, List, Optional
+import heapq
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.machine import FlexTMMachine, MemoryOpResult
 from repro.errors import InvariantViolation, SchedulerError, TransactionAborted
@@ -109,11 +111,24 @@ class Scheduler:
         self.director = director
         if watchdog is not None:
             watchdog.attach(machine, threads[0].backend)
-        available = processors if processors is not None else list(range(machine.params.num_processors))
+        num_processors = machine.params.num_processors
+        available = processors if processors is not None else list(range(num_processors))
         if not available:
             raise SchedulerError("no processors available")
+        if len(set(available)) != len(available):
+            raise SchedulerError(f"duplicate processor ids in {available}")
+        unknown = [proc for proc in available if not 0 <= proc < num_processors]
+        if unknown:
+            raise SchedulerError(
+                f"processor ids {unknown} out of range for {num_processors} processors"
+            )
         self._procs = available
         self._running: Dict[int, _Slot] = {}
+        #: Lazy min-heap of (clock, proc) for the running processors; see
+        #: _pick_processor.  Keys may lag the clocks, never lead them.
+        self._heap: List[Tuple[int, int]] = []
+        #: Processors with an entry in _heap (at most one each).
+        self._in_heap: Set[int] = set()
         self._ready: collections.deque = collections.deque()
         #: thread_id -> slot, descheduled by a director and *not* in the
         #: ready queue: only an explicit place()/release_parked() (or
@@ -125,6 +140,7 @@ class Scheduler:
                 slot.thread.processor = proc
                 slot.slice_start = 0
                 self._running[proc] = slot
+                self._track(proc)
             else:
                 self._ready.append(slot)
         if len(self.slots) > len(available) and self.quantum is None:
@@ -163,17 +179,36 @@ class Scheduler:
         return self._result(cycle_limit)
 
     def _pick_processor(self, cycle_limit: int) -> Optional[int]:
-        """Least-advanced processor still under the limit with work."""
-        best, best_now = None, None
-        for proc, slot in self._running.items():
-            if slot.done:
+        """Least-advanced processor still under the limit with work.
+
+        The heap is repaired lazily at the top: entries for processors
+        that no longer run a live thread are dropped, and an entry whose
+        clock has moved is re-keyed.  Clocks only move forward, so a
+        stale key is too low and its entry surfaces before it matters;
+        the top is the answer once its key equals its clock.  Tuple
+        order breaks clock ties towards the lower processor id.
+        """
+        heap = self._heap
+        processors = self.machine.processors
+        while heap:
+            key, proc = heap[0]
+            slot = self._running.get(proc)
+            if slot is None or slot.done:
+                heapq.heappop(heap)
+                self._in_heap.discard(proc)
                 continue
-            now = self.machine.processors[proc].clock.now
-            if now >= cycle_limit:
+            now = processors[proc].clock.now
+            if now != key:
+                heapq.heapreplace(heap, (now, proc))
                 continue
-            if best_now is None or now < best_now or (now == best_now and proc < best):
-                best, best_now = proc, now
-        return best
+            return proc if now < cycle_limit else None
+        return None
+
+    def _track(self, proc: int) -> None:
+        """Give a newly occupied processor its heap entry (if it has none)."""
+        if proc not in self._in_heap:
+            self._in_heap.add(proc)
+            heapq.heappush(self._heap, (self.machine.processors[proc].clock.now, proc))
 
     def _step(self, proc: int, cycle_limit: int) -> None:
         slot = self._running[proc]
@@ -347,6 +382,7 @@ class Scheduler:
             )
         slot.slice_start = clock.now
         self._running[proc] = slot
+        self._track(proc)
 
     def _dispatch(self, proc: int) -> None:
         """Give a free processor to the next ready thread."""

@@ -1,5 +1,7 @@
 """Set-associative cache array behaviour."""
 
+import random
+
 import pytest
 
 from repro.coherence.states import COMMIT_TRANSFORM, LineState
@@ -54,20 +56,76 @@ def test_remove_frees_slot():
     assert cache.lookup(4) is not None
 
 
+def _commit(line):
+    line.state = COMMIT_TRANSFORM[line.state]
+    line.t_bit = False
+
+
 def test_flash_transform_sweeps_and_prunes():
     cache = CacheArray(4, 2)
-    cache.install(0, LineState.TMI).t_bit = True
-    cache.install(1, LineState.TI).t_bit = True
+    cache.install(0, LineState.TMI)
+    cache.install(1, LineState.TI)
     cache.install(2, LineState.M)
 
-    def commit(line):
-        line.state = COMMIT_TRANSFORM[line.state]
-        line.t_bit = False
-
-    cache.flash_transform(commit)
+    assert cache.flash_transform(_commit) == 2  # only the T lines are visited
     assert cache.peek(0).state is LineState.M
     assert cache.peek(1) is None  # TI -> I, pruned
     assert cache.peek(2).state is LineState.M
+
+
+def test_install_and_set_state_keep_t_bit_and_index():
+    cache = CacheArray(4, 2)
+    tmi = cache.install(0, LineState.TMI)
+    plain = cache.install(1, LineState.E)
+    assert tmi.t_bit and not plain.t_bit
+    assert set(cache._t_lines) == {0}
+    cache.set_state(plain, LineState.TI)
+    cache.set_state(tmi, LineState.M)
+    assert plain.t_bit and not tmi.t_bit
+    assert set(cache._t_lines) == {1}
+    cache.remove(1)
+    assert not cache._t_lines
+
+
+def test_flash_visits_exactly_the_t_lines():
+    """Seeded random fills and state changes: a flash visits the index,
+    which always equals a brute-force scan, and leaves the rest alone."""
+    rng = random.Random(7)
+    cache = CacheArray(8, 2)
+    states = [state for state in LineState if state is not LineState.I]
+    for _ in range(300):
+        address = rng.randrange(40)
+        line = cache.peek(address)
+        roll = rng.random()
+        if line is None:
+            victim = cache.choose_victim(address)
+            if victim is not None:
+                cache.remove(victim.line_address)
+            cache.install(address, rng.choice(states)).a_bit = rng.random() < 0.3
+        elif roll < 0.5:
+            cache.set_state(line, rng.choice(states))
+        elif roll < 0.7:
+            cache.remove(address)
+        else:
+            before = {
+                line.line_address: (line.state, line.a_bit, line.last_use)
+                for line in cache.valid_lines()
+            }
+            visited = []
+            cache.flash_transform(lambda line: (visited.append(line.line_address), _commit(line)))
+            assert sorted(visited) == sorted(
+                address for address, (state, _, _) in before.items() if state.is_transactional
+            )
+            for address, (state, a_bit, last_use) in before.items():
+                line = cache.peek(address)
+                if state is LineState.TI:
+                    assert line is None
+                    continue
+                expected = LineState.M if state is LineState.TMI else state
+                assert (line.state, line.a_bit, line.last_use) == (expected, a_bit, last_use)
+        assert set(cache._t_lines) == {
+            line.line_address for line in cache.valid_lines() if line.state.is_transactional
+        }
 
 
 def test_occupancy_counts():

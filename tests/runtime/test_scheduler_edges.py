@@ -79,6 +79,22 @@ def test_empty_processor_list_rejected(m):
         Scheduler(m, [TxThread(0, runtime, iter(()))], processors=[])
 
 
+def test_duplicate_processor_ids_rejected(m):
+    """A repeated id would install two threads on one core and lose one."""
+    runtime = FlexTMRuntime(m)
+    counter = m.allocate(64, line_aligned=True)
+    threads = [TxThread(i, runtime, _one_tx(counter)) for i in range(2)]
+    with pytest.raises(SchedulerError, match="duplicate"):
+        Scheduler(m, threads, processors=[1, 1])
+
+
+@pytest.mark.parametrize("procs", [[7], [0, 4], [-1]])
+def test_out_of_range_processor_ids_rejected(m, procs):
+    runtime = FlexTMRuntime(m)
+    with pytest.raises(SchedulerError, match="out of range"):
+        Scheduler(m, [TxThread(0, runtime, iter(()))], processors=procs)
+
+
 def test_finished_thread_frees_core_for_queued_thread(m):
     runtime = FlexTMRuntime(m, mode=ConflictMode.LAZY)
     counter = m.allocate(64, line_aligned=True)
