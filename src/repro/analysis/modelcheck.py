@@ -43,11 +43,15 @@ Deliberate abstractions (documented divergences from the simulator):
   identical to the same access re-issued by an immediate retry, which
   is a legal behaviour in its own right.
 * A cache with a live signature footprint on the line issues
-  transactional accesses and plain Loads, but never a plain Store:
-  the runtime's only in-transaction plain stores are the manager's
-  TSW CAS traffic, which targets *other* lines (exactly the case
-  ``machine._strong_isolation_aborts`` exempts via
-  ``issuer.in_transaction``).  Consequently the single dispatch cell
+  transactional accesses and plain Loads, but never a plain Store.
+  The runtime does issue plain stores inside transactions: the
+  manager's TSW CAS traffic, and RTM-F's ownership and version
+  updates to its object headers (``stm/rtmf.py`` ``write`` and
+  ``commit``).  Neither kind of line is ever TLoaded or TStored: TSWs
+  see only plain stores, ALoads and CAS, and RTM-F's header lines only
+  plain loads and stores, so no cache holds signature footprint on them
+  (``tests/analysis/test_modelcheck.py`` pins this disjointness on
+  RTM-F runs).  Consequently the single dispatch cell
   ``LOCAL_DISPATCH[Store,TI]`` — legal hardware behaviour, undrivable
   by the runtime — is exempted from dead-cell coverage
   (``UNDRIVEN_CELLS``).
@@ -629,8 +633,9 @@ def _static_violations(spec: ProtocolSpec) -> List[Tuple[str, str]]:
 #: reporting.  Today exactly one: a plain Store upgrade from a TI line
 #: would require an in-transaction non-speculative store to a tracked
 #: line (TI exists only while its reader's transaction runs), which the
-#: runtime never issues — its in-transaction plain stores are manager
-#: CAS operations on TSW lines.
+#: runtime never issues — its in-transaction plain stores (manager CAS
+#: on TSW lines, RTM-F header updates) target lines that are never
+#: TLoaded or TStored.
 UNDRIVEN_CELLS: FrozenSet[str] = frozenset({"LOCAL_DISPATCH[Store,TI]"})
 
 

@@ -1,4 +1,8 @@
-"""CI benchmark-regression gate over ``BENCH_sweep.json``.
+"""The ``BENCH_sweep.json`` wall-time document and its CI regression gate.
+
+:func:`write_bench_json` renders a sweep's executor outcomes (per-point
+wall time, totals, speedup vs. a serial estimate, host metadata) as the
+``repro.bench_sweep/v1`` document; :func:`main` gates on it.
 
 Usage::
 
@@ -24,9 +28,128 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import sys
+from typing import Dict, Optional, Sequence
 
-from repro.harness.parallel import validate_bench_payload
+from repro.harness.parallel import Outcome
+
+#: Schema identifier stamped into every BENCH_sweep.json document.
+BENCH_SCHEMA = "repro.bench_sweep/v1"
+
+#: Keys every BENCH_sweep.json document must carry.
+BENCH_REQUIRED_KEYS = (
+    "schema",
+    "jobs",
+    "num_points",
+    "num_errors",
+    "total_wall_time_s",
+    "serial_estimate_s",
+    "speedup_vs_serial_estimate",
+    "points",
+    "host",
+)
+
+#: Keys every per-point entry in BENCH_sweep.json must carry.
+BENCH_POINT_KEYS = ("label", "ok", "status", "attempts", "wall_time_s")
+
+
+def host_metadata() -> Dict[str, object]:
+    return {
+        "platform": platform.platform(),
+        "machine": platform.machine(),
+        "python": platform.python_version(),
+        "implementation": platform.python_implementation(),
+        "cpu_count": os.cpu_count(),
+    }
+
+
+def bench_payload(
+    outcomes: Sequence[Outcome],
+    jobs: int,
+    total_wall_time: float,
+    extra: Optional[Dict[str, object]] = None,
+) -> Dict[str, object]:
+    """Render outcomes as the ``BENCH_sweep.json`` document.
+
+    ``serial_estimate_s`` sums per-point wall times — what the sweep
+    would have cost on one core — so ``speedup_vs_serial_estimate``
+    tracks the fan-out's real win on this host.
+    """
+    serial_estimate = sum(outcome.wall_time for outcome in outcomes)
+    errors = [outcome for outcome in outcomes if not outcome.ok]
+    document: Dict[str, object] = {
+        "schema": BENCH_SCHEMA,
+        "jobs": jobs,
+        "num_points": len(outcomes),
+        "num_errors": len(errors),
+        "total_wall_time_s": round(total_wall_time, 6),
+        "serial_estimate_s": round(serial_estimate, 6),
+        "speedup_vs_serial_estimate": round(
+            serial_estimate / total_wall_time, 4
+        ) if total_wall_time > 0 else 0.0,
+        "points": [
+            {
+                "label": outcome.label,
+                "ok": outcome.ok,
+                "status": outcome.status,
+                "attempts": outcome.attempts,
+                "wall_time_s": round(outcome.wall_time, 6),
+                **({"error": outcome.error} if outcome.error else {}),
+            }
+            for outcome in outcomes
+        ],
+        "host": host_metadata(),
+    }
+    if extra:
+        document["sweep"] = extra
+    return document
+
+
+def write_bench_json(
+    path: str,
+    outcomes: Sequence[Outcome],
+    jobs: int,
+    total_wall_time: float,
+    extra: Optional[Dict[str, object]] = None,
+) -> None:
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    with open(path, "w") as handle:
+        json.dump(
+            bench_payload(outcomes, jobs, total_wall_time, extra=extra),
+            handle,
+            indent=2,
+            sort_keys=False,
+        )
+        handle.write("\n")
+
+
+def validate_bench_payload(document: object) -> Optional[str]:
+    """Schema check for BENCH_sweep.json; returns an error or None."""
+    if not isinstance(document, dict):
+        return "document is not a JSON object"
+    if document.get("schema") != BENCH_SCHEMA:
+        return f"schema is {document.get('schema')!r}, expected {BENCH_SCHEMA!r}"
+    for key in BENCH_REQUIRED_KEYS:
+        if key not in document:
+            return f"missing key {key!r}"
+    points = document["points"]
+    if not isinstance(points, list):
+        return "points is not a list"
+    if len(points) != document["num_points"]:
+        return "num_points does not match len(points)"
+    for position, point in enumerate(points):
+        if not isinstance(point, dict):
+            return f"points[{position}] is not an object"
+        for key in BENCH_POINT_KEYS:
+            if key not in point:
+                return f"points[{position}] missing key {key!r}"
+    errors = sum(1 for point in points if not point["ok"])
+    if errors != document["num_errors"]:
+        return "num_errors does not match error points"
+    return None
 
 
 def _load(path: str):

@@ -41,7 +41,8 @@ it bit-identically.
 This module also hosts the verification-matrix engine that the chaos,
 ``degrade`` and ``adversary`` matrices share: one cell runner
 (:func:`run_cell`), one classification ladder (:func:`judge`), one
-backend-partitioned fork fan-out (:func:`fan_out`) and one set of CLI
+backend-partitioned fan-out on the harness executor (:func:`fan_out`,
+over :func:`repro.harness.parallel.run_points`) and one set of CLI
 plumbing (:class:`MatrixCli`).  A matrix supplies only a
 :class:`Perturbation` and the labels it gives a run that passes every
 rung.  See docs/ROBUSTNESS.md, "The verification-matrix engine".
@@ -63,7 +64,7 @@ from repro.chaos import ChaosEngine, ChaosSpec, InvariantChecker, LivelockWatchd
 from repro.core.descriptor import ConflictMode
 from repro.core.machine import FlexTMMachine
 from repro.errors import ReproError
-from repro.harness.parallel import effective_jobs
+from repro.harness.parallel import effective_jobs, run_points, unwrap
 from repro.params import small_test_params
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.txthread import TxThread, WorkItem
@@ -296,30 +297,19 @@ def per_backend(cell: Callable, names: Sequence[str], backend_name: str, **param
 
 def fan_out(unit: Callable[[str], list], backends: Sequence[str], jobs: int = 1,
             progress=None) -> list:
-    """Run ``unit(backend)`` for every backend, ``jobs`` at a time in
-    forked workers, and concatenate the cell lists in input order.
+    """Run ``unit(backend)`` for every backend as one executor partition
+    each, ``jobs`` at a time, and concatenate the cell lists in input
+    order.  A partition that fails raises :class:`RuntimeError` naming
+    its backend (a crashed worker is retried once first).
 
     Partitioning by backend (not by cell) keeps the row order, and
     every cell's seed and workload, identical at any ``jobs`` value.
     """
-    jobs = min(max(1, jobs), len(backends))
-
-    def collect(groups) -> list:
-        rows = []
-        for done, group in enumerate(groups, 1):
-            rows.extend(group)
-            if progress is not None:
-                progress(done, len(backends))
-        return rows
-
-    if jobs <= 1:
-        return collect(map(unit, backends))
-    import concurrent.futures
-    import multiprocessing
-
-    context = multiprocessing.get_context("fork")
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
-        return collect(pool.map(unit, backends))
+    partitions = [functools.partial(unit, backend) for backend in backends]
+    for backend, partition in zip(backends, partitions):
+        partition.label = f"{backend} partition"
+    outcomes = run_points(partitions, jobs, progress=progress)
+    return [cell for outcome in outcomes for cell in unwrap(outcome)]
 
 
 # -- the chaos matrix -----------------------------------------------------------
@@ -594,7 +584,7 @@ class MatrixCli:
                 f"{len(names)} {self.axis}(s){setting}, {jobs} worker(s)\n"
             )
 
-            def progress(done, total):
+            def progress(done, total, _outcome):
                 sys.stderr.write(f"{self.name}: {done}/{total} backends done\n")
 
         rows = self.run(backends, names, args.seed, jobs=jobs, cycle_limit=args.cycles,

@@ -92,10 +92,9 @@ def run_figure4(
                             seed=seed,
                         ),
                         label=f"figure4:{workload}:{system}:{threads}t",
+                        name=f"figure4_{workload}_{system}_{threads}t",
                         trace_dir=trace_out,
-                        trace_name=f"figure4_{workload}_{system}_{threads}t",
                         metrics_dir=metrics_out,
-                        metrics_name=f"figure4_{workload}_{system}_{threads}t",
                     )
                 )
     outcomes = iter(run_points(specs, jobs=jobs))

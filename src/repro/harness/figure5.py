@@ -86,10 +86,9 @@ def run_policy_comparison(
                             seed=seed,
                         ),
                         label=f"figure5:{workload}:{mode.value}:{threads}t",
+                        name=f"figure5_{workload}_{mode.value}_{threads}t",
                         trace_dir=trace_out,
-                        trace_name=f"figure5_{workload}_{mode.value}_{threads}t",
                         metrics_dir=metrics_out,
-                        metrics_name=f"figure5_{workload}_{mode.value}_{threads}t",
                     )
                 )
     outcomes = iter(run_points(specs, jobs=jobs))

@@ -89,10 +89,9 @@ def run_overflow_study(
                 PointSpec(
                     config=base,
                     label=f"overflow:{workload}:s{seed}:ot",
+                    name=f"overflow_{workload}_seed{seed}",
                     trace_dir=trace_out,
-                    trace_name=f"overflow_{workload}_seed{seed}",
                     metrics_dir=metrics_out,
-                    metrics_name=f"overflow_{workload}_seed{seed}",
                 )
             )
             specs.append(

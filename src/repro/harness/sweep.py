@@ -33,13 +33,13 @@ import time
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.core.descriptor import ConflictMode
+from repro.harness.benchgate import write_bench_json
 from repro.harness.parallel import (
-    PointOutcome,
+    Outcome,
     PointSpec,
     effective_jobs,
     render_progress,
     run_points,
-    write_bench_json,
 )
 from repro.harness.runner import ExperimentConfig
 from repro.params import SystemParams
@@ -124,7 +124,7 @@ class SweepSpec:
 
 
 def _row(
-    config: ExperimentConfig, outcome: PointOutcome, pathology: bool = False
+    config: ExperimentConfig, outcome: Outcome, pathology: bool = False
 ) -> Dict[str, object]:
     row: Dict[str, object] = {
         "workload": config.workload,
@@ -175,24 +175,36 @@ def _row(
     return row
 
 
-def _point_spec(config: ExperimentConfig, metrics_out: Optional[str],
-                trace_out: Optional[str] = None) -> PointSpec:
-    label = (
-        f"{config.workload}/{config.system}/{config.threads}t/"
-        f"{config.mode.value}/s{config.seed}"
+def _execute(spec: SweepSpec, jobs, timeout, retries, progress, bench_out,
+             pathology, metrics_out, trace_out=None):
+    """Run the sweep's points on the executor, write ``bench_out`` if
+    asked, and return ``(rows, outcomes, elapsed)``."""
+    configs = list(spec.configs())
+    points = []
+    for config in configs:
+        key = (config.workload, config.system, f"{config.threads}t",
+               config.mode.value, f"s{config.seed}")
+        points.append(PointSpec(config=config, label="/".join(key),
+                                name="sweep_" + "_".join(key),
+                                trace_dir=trace_out, metrics_dir=metrics_out))
+    started = time.perf_counter()
+    outcomes = run_points(
+        points, jobs=jobs, timeout=timeout, retries=retries, progress=progress
     )
-    name = (
-        f"sweep_{config.workload}_{config.system}_{config.threads}t_"
-        f"{config.mode.value}_s{config.seed}"
-    )
-    return PointSpec(
-        config=config,
-        label=label,
-        trace_dir=trace_out,
-        trace_name=name if trace_out else None,
-        metrics_dir=metrics_out,
-        metrics_name=name if metrics_out else None,
-    )
+    elapsed = time.perf_counter() - started
+    if bench_out:
+        write_bench_json(
+            bench_out,
+            outcomes,
+            jobs=effective_jobs(jobs),
+            total_wall_time=elapsed,
+            extra=spec.axes(),
+        )
+    rows = [
+        _row(config, outcome, pathology=pathology)
+        for config, outcome in zip(configs, outcomes)
+    ]
+    return rows, outcomes, elapsed
 
 
 def run_sweep(
@@ -214,28 +226,12 @@ def run_sweep(
     ``metrics_out`` names a directory receiving one windowed-metrics
     JSON artifact per point (row schema stays unchanged).
     """
-    configs = list(spec.configs())
-    specs = [_point_spec(config, metrics_out) for config in configs]
     callback = None
     if progress is not None:
         callback = lambda done, total, outcome: progress(done, total)
-    started = time.perf_counter()
-    outcomes = run_points(
-        specs, jobs=jobs, timeout=timeout, retries=retries, progress=callback
-    )
-    elapsed = time.perf_counter() - started
-    if bench_out:
-        write_bench_json(
-            bench_out,
-            outcomes,
-            jobs=effective_jobs(jobs),
-            total_wall_time=elapsed,
-            extra=spec.axes(),
-        )
-    return [
-        _row(config, outcome, pathology=pathology)
-        for config, outcome in zip(configs, outcomes)
-    ]
+    rows, _, _ = _execute(spec, jobs, timeout, retries, callback, bench_out,
+                          pathology, metrics_out)
+    return rows
 
 
 def to_csv(rows: List[Dict[str, object]], fields: Optional[List[str]] = None) -> str:
@@ -325,26 +321,16 @@ def run_sweep_command(argv=None) -> int:
         seeds=tuple(int_list(args.seeds, "--seeds")),
         cycle_limit=args.cycles,
     )
-    configs = list(spec.configs())
-    specs = [_point_spec(config, args.metrics_out, args.trace_out) for config in configs]
     jobs = effective_jobs(args.jobs)
     if not args.quiet:
         sys.stderr.write(
-            f"sweep: {len(specs)} points across {jobs} worker(s)\n"
+            f"sweep: {spec.size()} points across {jobs} worker(s)\n"
         )
-    started = time.perf_counter()
-    outcomes = run_points(
-        specs,
-        jobs=jobs,
-        timeout=args.timeout or None,
-        retries=args.retries,
-        progress=None if args.quiet else render_progress,
+    rows, outcomes, elapsed = _execute(
+        spec, jobs, args.timeout or None, args.retries,
+        None if args.quiet else render_progress, args.bench_out, args.pathology,
+        args.metrics_out, args.trace_out,
     )
-    elapsed = time.perf_counter() - started
-    rows = [
-        _row(config, outcome, pathology=args.pathology)
-        for config, outcome in zip(configs, outcomes)
-    ]
 
     fields = ROW_FIELDS + PATHOLOGY_FIELDS if args.pathology else ROW_FIELDS
     text = to_csv(rows, fields)
@@ -353,11 +339,6 @@ def run_sweep_command(argv=None) -> int:
             handle.write(text)
     else:
         sys.stdout.write(text)
-    if args.bench_out:
-        write_bench_json(
-            args.bench_out, outcomes, jobs=jobs, total_wall_time=elapsed,
-            extra=spec.axes(),
-        )
     errors = sum(1 for outcome in outcomes if not outcome.ok)
     serial_estimate = sum(outcome.wall_time for outcome in outcomes)
     if not args.quiet:

@@ -118,3 +118,32 @@ def test_findings_from_anchor_into_the_spec_module(tmp_path):
 def test_clean_result_produces_no_findings(tmp_path):
     result = check(caches=2)
     assert findings_from(result, tmp_path) == []
+
+
+def test_rtmf_plain_stores_in_transactions_never_touch_tracked_lines(monkeypatch):
+    # The UNDRIVEN_CELLS premise: RTM-F's in-transaction plain stores
+    # (header updates) hit lines that no transaction TLoads or TStores.
+    from repro.core.machine import FlexTMMachine
+    from repro.harness.runner import ExperimentConfig, run_experiment
+
+    plain, tracked = set(), set()
+
+    def recording(method, lines, in_transaction_only):
+        real = getattr(FlexTMMachine, method)
+
+        def wrapper(self, proc_id, address, *args):
+            if not in_transaction_only or self.processors[proc_id].in_transaction:
+                lines.add(self.amap.line_of(address))
+            return real(self, proc_id, address, *args)
+
+        monkeypatch.setattr(FlexTMMachine, method, wrapper)
+
+    for method in ("store", "cas"):
+        recording(method, plain, True)
+    for method in ("tload", "tstore"):
+        recording(method, tracked, False)
+    result = run_experiment(ExperimentConfig(
+        workload="HashTable", system="RTM-F", threads=4, cycle_limit=30_000, seed=1,
+    ))
+    assert result.commits > 0 and plain and tracked
+    assert not plain & tracked

@@ -38,7 +38,7 @@ def test_sweep_cli_parallel_csv_and_bench(tmp_path, capsys):
     import json
 
     from repro.harness.sweep import ROW_FIELDS
-    from repro.harness.parallel import validate_bench_payload
+    from repro.harness.benchgate import validate_bench_payload
 
     csv_path = tmp_path / "sweep.csv"
     bench_path = tmp_path / "BENCH_sweep.json"

@@ -8,10 +8,14 @@
   diagnosed (raised *and* oracle) chaos cells, a failed fault-free
   baseline, recovered and diagnosed degrade cells, and conforms /
   aborts-as-required adversary cells.
+  Each golden is checked serially and fanned out over two workers.
+* A matrix partition whose worker dies is retried, then fails the run
+  with an error naming its backend.
 * The ladder order, rung by rung, and the FAIL line of each CLI.
 """
 
 import dataclasses
+import os
 import pathlib
 
 import pytest
@@ -45,13 +49,30 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_matrix_output_matches_golden(name, tmp_path, capsys):
+@pytest.mark.parametrize("name,jobs", [
+    pytest.param(name, jobs, id=name if jobs == 1 else f"{name}-jobs{jobs}")
+    for name in sorted(CASES) for jobs in (1, 2)
+])
+def test_matrix_output_matches_golden(name, jobs, tmp_path, capsys):
     command, argv, status = CASES[name]
     report = tmp_path / "report.json"
-    assert command(argv + ["--quiet", "--report", str(report)]) == status
+    argv = argv + ["--jobs", str(jobs), "--quiet", "--report", str(report)]
+    assert command(argv) == status
     assert capsys.readouterr().out == (GOLDEN / f"{name}.txt").read_text()
     assert report.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def _crash_on_cgl(backend):
+    if backend == "CGL":
+        os._exit(3)
+    return [backend]
+
+
+def test_crashed_partition_fails_the_run_naming_its_backend():
+    assert chaos.fan_out(_crash_on_cgl, ["FlexTM", "TL2"], jobs=2) == ["FlexTM", "TL2"]
+    with pytest.raises(RuntimeError, match=r"^CGL partition failed \(crash\): "
+                       r"worker died \(exit code 3\)$"):
+        chaos.fan_out(_crash_on_cgl, ["FlexTM", "CGL"], jobs=2)
 
 
 def test_goldens_cover_the_required_labels():

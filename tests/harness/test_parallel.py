@@ -18,14 +18,13 @@ import pytest
 
 from repro.core.descriptor import ConflictMode
 from repro.harness import parallel
+from repro.harness.benchgate import bench_payload, validate_bench_payload
 from repro.harness.parallel import (
-    PointOutcome,
+    Outcome,
     PointSpec,
-    bench_payload,
     effective_jobs,
     run_points,
     unwrap,
-    validate_bench_payload,
 )
 from repro.harness.runner import SYSTEMS, ExperimentConfig
 from repro.harness.sweep import ROW_FIELDS, SweepSpec, run_sweep
@@ -33,8 +32,22 @@ from repro.params import small_test_params
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
-    reason="fault-injection via module patching needs fork start method",
+    reason="fault-injecting units are inherited by forked workers",
 )
+
+
+class CrashingPoint(PointSpec):
+    """A point whose worker dies without reporting."""
+
+    def __call__(self):
+        os._exit(3)
+
+
+class HangingPoint(PointSpec):
+    """A point that never finishes within any test budget."""
+
+    def __call__(self):
+        time.sleep(60)
 
 
 def _config(workload="HashTable", system="FlexTM", threads=2, seed=7):
@@ -105,18 +118,10 @@ def test_exception_becomes_error_row_not_dead_sweep(jobs):
 
 
 @needs_fork
-def test_crashed_worker_is_isolated_and_retried(monkeypatch):
-    real = parallel._execute_point
-
-    def crashy(config):
-        if config.system == "CGL":
-            os._exit(3)
-        return real(config)
-
-    monkeypatch.setattr(parallel, "_execute_point", crashy)
+def test_crashed_worker_is_isolated_and_retried():
     specs = [
         PointSpec(config=_config(system="FlexTM"), label="ok-point"),
-        PointSpec(config=_config(system="CGL"), label="crash-point"),
+        CrashingPoint(config=_config(system="CGL"), label="crash-point"),
     ]
     outcomes = run_points(specs, jobs=2, retries=1)
     assert outcomes[0].ok and outcomes[0].status == "ok"
@@ -130,17 +135,9 @@ def test_crashed_worker_is_isolated_and_retried(monkeypatch):
 
 
 @needs_fork
-def test_hung_worker_times_out_without_killing_the_sweep(monkeypatch):
-    real = parallel._execute_point
-
-    def sleepy(config):
-        if config.system == "TL2":
-            time.sleep(60)
-        return real(config)
-
-    monkeypatch.setattr(parallel, "_execute_point", sleepy)
+def test_hung_worker_times_out_without_killing_the_sweep():
     specs = [
-        PointSpec(config=_config(system="TL2"), label="hung-point"),
+        HangingPoint(config=_config(system="TL2"), label="hung-point"),
         PointSpec(config=_config(system="FlexTM"), label="ok-point"),
     ]
     started = time.perf_counter()
@@ -157,9 +154,11 @@ def test_serial_path_never_forks(monkeypatch):
     def boom(*args, **kwargs):  # pragma: no cover — would fail the test
         raise AssertionError("jobs=1 must not spawn workers")
 
-    monkeypatch.setattr(parallel, "_run_pool", boom)
-    outcomes = run_points([PointSpec(config=_config())], jobs=1)
-    assert outcomes[0].ok
+    monkeypatch.setattr(parallel, "_mp_context", boom)
+    outcomes = run_points(
+        [PointSpec(config=_config(threads=threads)) for threads in (1, 2)], jobs=1
+    )
+    assert [outcome.ok for outcome in outcomes] == [True, True]
 
 
 def test_parallel_figures_match_serial():
@@ -188,8 +187,8 @@ def test_parallel_traces_written_by_workers(tmp_path):
         PointSpec(
             config=_config(threads=threads),
             label=f"t{threads}",
+            name=f"point_{threads}t",
             trace_dir=str(tmp_path),
-            trace_name=f"point_{threads}t",
         )
         for threads in (1, 2)
     ]
@@ -197,7 +196,6 @@ def test_parallel_traces_written_by_workers(tmp_path):
     for outcome, threads in zip(outcomes, (1, 2)):
         assert outcome.ok
         path = tmp_path / f"point_{threads}t.json"
-        assert outcome.trace_path == str(path)
         document = json.loads(path.read_text())
         assert document["traceEvents"]
 
@@ -220,7 +218,7 @@ def test_validate_bench_payload_rejects_junk():
     assert validate_bench_payload([]) is not None
     assert validate_bench_payload({"schema": "nope"}) is not None
     good = bench_payload(
-        [PointOutcome(index=0, label="p", ok=True, status="ok", wall_time=0.1)],
+        [Outcome(index=0, label="p", ok=True, status="ok", wall_time=0.1)],
         jobs=2,
         total_wall_time=0.1,
     )
