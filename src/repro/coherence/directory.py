@@ -19,12 +19,12 @@ import dataclasses
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.coherence.messages import RequestType, ResponseKind
-from repro.coherence.states import GRANT_RULES, LineState
+from repro.coherence.states import GRANT_RULES_BY_CODE, LineState
 from repro.errors import ProtocolError
 from repro.memory.cache import CacheArray
 from repro.obs.tracer import NULL_TRACER
 from repro.params import SystemParams
-from repro.sim.stats import StatsRegistry
+from repro.sim.stats import Counter, StatsRegistry
 
 
 @dataclasses.dataclass
@@ -76,6 +76,15 @@ def _bits(mask: int) -> List[int]:
     return out
 
 
+#: The outcome code of a NACKed request (grants use their state's code).
+_NACK = len(LineState)
+#: request code -> outcome code -> the ``coh_request`` event detail.
+_TRACE_DETAILS: Tuple[Tuple[str, ...], ...] = tuple(
+    tuple(f"{request.value}->{name}" for name in [*LineState.__members__, "NACK"])
+    for request in RequestType
+)
+
+
 @dataclasses.dataclass
 class DirectoryOutcome:
     """Result of one directory request, consumed by the requesting L1."""
@@ -120,6 +129,9 @@ class Directory:
         self.clock_of: Optional[Callable] = None
         # Fault injection (installed by FlexTMMachine.set_chaos).
         self.chaos = None
+        #: request code -> its ``dir.requests.<type>`` counter, created
+        #: on first use so that no zero-valued key appears in the stats.
+        self._request_counters: List[Optional[Counter]] = [None] * len(RequestType)
 
     def entry(self, line_address: int) -> DirectoryEntry:
         if line_address not in self._entries:
@@ -160,7 +172,11 @@ class Directory:
         """
         if self.forward is None:
             raise ProtocolError("directory has no forward hook installed")
-        self.stats.counter(f"dir.requests.{req_type.value}").increment()
+        counter = self._request_counters[req_type.code]
+        if counter is None:
+            counter = self.stats.counter(f"dir.requests.{req_type.value}")
+            self._request_counters[req_type.code] = counter
+        counter.increment()
         cycles = self._l2_latency(line_address)
         if self.chaos is not None and self.chaos.enabled:
             # Dropped/delayed request messages: the requestor retries
@@ -172,7 +188,7 @@ class Directory:
         if self.nack_check is not None and self.nack_check(line_address, requestor):
             self.stats.counter("dir.nacks").increment()
             if self.tracer.enabled:
-                self._trace_request(requestor, req_type, line_address, "NACK", [])
+                self._trace_request(requestor, req_type, line_address, _NACK, [])
             return DirectoryOutcome(cycles=cycles, responses=[], grant=LineState.I, nacked=True)
 
         entry = self.entry(line_address)
@@ -183,6 +199,7 @@ class Directory:
             cycles += self.summary_conflict_check(requestor, line_address, is_write)
 
         responses: List[Tuple[int, ResponseKind]] = []
+        threatened = False
         targets = _bits(entry.holders() & ~(1 << requestor))
         if targets:
             cycles += self.params.remote_l1_cycles
@@ -190,6 +207,7 @@ class Directory:
             kind, retained = self.forward(responder, requestor, req_type, line_address)
             if kind is not None:
                 responses.append((responder, kind))
+                threatened = threatened or kind is ResponseKind.THREATENED
             if not retained and not self._sticky(line_address, responder):
                 entry.drop(responder)
             elif kind is not None and not retained:
@@ -197,8 +215,7 @@ class Directory:
                 # keep reaching this processor's signatures.
                 self.stats.counter("dir.sticky_retained").increment()
             elif req_type is RequestType.GETS and retained and entry.is_owner(responder):
-                threatened = kind is ResponseKind.THREATENED
-                if not threatened:
+                if kind is not ResponseKind.THREATENED:
                     # M/E owner flushed and dropped to S; TMI owners
                     # (threatened) keep ownership.
                     entry.demote_owner_to_sharer(responder)
@@ -217,10 +234,11 @@ class Directory:
             kind, _ = self.forward(responder, requestor, req_type, line_address)
             if kind is not None:
                 responses.append((responder, kind))
+                threatened = threatened or kind is ResponseKind.THREATENED
 
-        grant = self._grant_and_record(requestor, req_type, line_address, entry, responses)
+        grant = self._grant_and_record(requestor, req_type, entry, threatened)
         if self.tracer.enabled:
-            self._trace_request(requestor, req_type, line_address, grant.name, responses)
+            self._trace_request(requestor, req_type, line_address, grant.code, responses)
         return DirectoryOutcome(cycles=cycles, responses=responses, grant=grant)
 
     def _trace_request(
@@ -228,16 +246,19 @@ class Directory:
         requestor: int,
         req_type: RequestType,
         line_address: int,
-        grant: str,
+        outcome: int,
         responses: List[Tuple[int, ResponseKind]],
     ) -> None:
-        """Emit one ``coh_request`` plus a ``coh_response`` per response."""
+        """Emit one ``coh_request`` plus a ``coh_response`` per response.
+
+        ``outcome`` is the granted state's code, or ``_NACK``.
+        """
         if not self.tracer.enabled:
             return
         now = self.clock_of(requestor) if self.clock_of is not None else 0
         self.tracer.on_coherence(
             requestor, now, "coh_request", line_address,
-            detail=f"{req_type.value}->{grant}",
+            detail=_TRACE_DETAILS[req_type.code][outcome],
         )
         for responder, kind in responses:
             self.tracer.on_coherence(
@@ -250,20 +271,20 @@ class Directory:
         return self.sticky_check is not None and bool(self.sticky_check(line_address, processor))
 
     def _grant_and_record(
-        self,
-        requestor: int,
-        req_type: RequestType,
-        line_address: int,
-        entry: DirectoryEntry,
-        responses: List[Tuple[int, ResponseKind]],
+        self, requestor: int, req_type: RequestType, entry: DirectoryEntry, threatened: bool
     ) -> LineState:
-        facts = {
-            "threatened": any(kind is ResponseKind.THREATENED for _, kind in responses),
-            "no_holders": entry.empty,
-            "otherwise": True,
-        }
-        grant = next(state for condition, state in GRANT_RULES[req_type] if facts[condition])
-        if grant.encoding[0]:
+        """The first GRANT_RULES rule whose condition holds; lists the requestor.
+
+        ``threatened`` is whether any responder answered Threatened.
+        """
+        for condition, grant in GRANT_RULES_BY_CODE[req_type.code]:
+            if (
+                condition == "otherwise"
+                or (condition == "threatened" and threatened)
+                or (condition == "no_holders" and entry.empty)
+            ):
+                break
+        if grant.m:
             # M-bit grants (E, M, TMI) make the requestor an owner; TMI
             # joins the (possibly plural) owners.  Remote copies were
             # invalidated by the forward loop, which also pruned holders

@@ -7,14 +7,13 @@ overflow-table spill for TMI), the flash commit/abort sweeps, and the
 alert-on-update machinery all live here.
 
 The controller executes the protocol spec rather than restating it:
-every (state x message) decision is a lookup in the tables
+every (state x message) decision is one index into the int-coded cells
 :mod:`repro.coherence.states` compiles from :mod:`repro.coherence.spec`
-(``LOCAL_DISPATCH``, ``LOCAL_NEXT_STATE``, ``MISS_REQUESTS``,
-``GRANT_INSTALL``, ``REMOTE_NEXT_STATE`` and the flash transforms), the
-same tables the model checker verifies.  Only the side effects the
-tables do not describe are written out here: victim-buffer refills, the
-posted write-back on M -> TMI, NACKs, eviction, alerts and the stats
-counters.
+(a state's ``local``, ``remote`` and ``install`` tuples, its ``commit``
+and ``abort`` targets, and ``MISS_REQUESTS_BY_CODE``), the same tables
+the model checker verifies.  Only the side effects the tables do not
+describe are written out here: victim-buffer refills, the posted
+write-back on M -> TMI, NACKs, eviction, alerts and the stats counters.
 
 TM-specific policy is injected through a small hook object so that the
 coherence layer itself stays TM-agnostic — the decoupling the paper
@@ -36,26 +35,17 @@ argues for.  The hooks are:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.coherence.directory import Directory
 from repro.coherence.messages import AccessKind, AccessResult, RequestType, ResponseKind
-from repro.coherence.states import (
-    ABORT_TRANSFORM,
-    COMMIT_TRANSFORM,
-    GRANT_INSTALL,
-    LOCAL_DISPATCH,
-    LOCAL_NEXT_STATE,
-    MISS_REQUESTS,
-    REMOTE_NEXT_STATE,
-    LineState,
-)
+from repro.coherence.states import MISS_REQUESTS_BY_CODE, LineState
 from repro.errors import ProtocolError
 from repro.memory.cache import CacheArray, CacheLine
 from repro.memory.victim import VictimBuffer
 from repro.obs.tracer import NULL_TRACER
 from repro.params import SystemParams
-from repro.sim.stats import StatsRegistry
+from repro.sim.stats import Counter, StatsRegistry
 
 
 class NullL1Hooks:
@@ -105,12 +95,23 @@ class L1Controller:
         self.tmi_victims = VictimBuffer(None) if tmi_to_victim else None
         #: Cycles accumulated by evictions performed inside an access.
         self._eviction_cycles = 0
+        #: access code -> its ``l1.access.<kind>`` counter, created on
+        #: first use so that no zero-valued key appears in the stats.
+        self._access_counters: List[Optional[Counter]] = [None] * len(AccessKind)
 
     # ------------------------------------------------------------------ local
 
+    def count_access(self, kind: AccessKind) -> None:
+        """Count one ``kind`` access in ``l1.access.<kind>``."""
+        counter = self._access_counters[kind.code]
+        if counter is None:
+            counter = self.stats.counter(f"l1.access.{kind.value}")
+            self._access_counters[kind.code] = counter
+        counter.increment()
+
     def access(self, kind: AccessKind, line_address: int) -> AccessResult:
         """Perform one processor memory operation; returns the outcome."""
-        self.stats.counter(f"l1.access.{kind.value}").increment()
+        self.count_access(kind)
         self._eviction_cycles = 0
         if self.chaos is not None and self.chaos.enabled and self.chaos.l1_pressure():
             self._chaos_evict(line_address)
@@ -132,34 +133,53 @@ class L1Controller:
         self._eviction_cycles = 0
         return result
 
+    def quiet_hit(self, kind: AccessKind, line_address: int) -> bool:
+        """Answer a quiet hit, or decline without touching anything.
+
+        A hit is quiet when the line is resident and its compiled local
+        cell for ``kind`` keeps the state: no directory request, no
+        state change, no eviction.  A quiet hit is counted and touches
+        the LRU exactly as :meth:`access` would, and costs
+        ``l1_hit_cycles``.  An enabled chaos engine always declines, so
+        its pressure draws stay on :meth:`access`.
+        """
+        chaos = self.chaos
+        if chaos is not None and chaos.enabled:
+            return False
+        if not self.array.touch_if_kept(line_address, kind.code):
+            return False
+        self.count_access(kind)
+        return True
+
     def _dispatch(
         self, kind: AccessKind, line_address: int, line: Optional[CacheLine]
     ) -> AccessResult:
         """Resolve one access against the compiled Figure 1 tables."""
         state = line.state if line is not None else LineState.I
-        outcome = LOCAL_DISPATCH[kind, state]
-        if outcome == "request":
+        next_state = state.local[kind.code]
+        if next_state is state:
+            return AccessResult(cycles=self.params.l1_hit_cycles, state=state)
+        if next_state == "request":
             if line is None:
                 self.stats.counter("l1.misses").increment()
-            return self._request(kind, MISS_REQUESTS[kind], line_address)
-        if outcome == "error":
+            return self._request(kind, line_address)
+        if next_state == "error":
             raise ProtocolError(f"illegal {kind.value} to a local {state.name} line")
-        next_state = LOCAL_NEXT_STATE[kind, state]
         cycles = self.params.l1_hit_cycles
-        if next_state is not state:
-            if state is LineState.M:
-                # Figure 1: M --TStore/Flush--> TMI.  The modified data
-                # is written back so later Loads see the latest
-                # non-speculative version.  The write-back is *posted*
-                # (drains through the write buffer), so the store only
-                # pays a couple of cycles, not the L2 round trip.
-                self.directory.writeback(self.proc_id, line_address)
-                self.stats.counter("l1.m_to_tmi_flush").increment()
-                cycles += 2
-            self.array.set_state(line, next_state)
+        if state is LineState.M:
+            # Figure 1: M --TStore/Flush--> TMI.  The modified data is
+            # written back so later Loads see the latest non-speculative
+            # version.  The write-back is *posted* (drains through the
+            # write buffer), so the store only pays a couple of cycles,
+            # not the L2 round trip.
+            self.directory.writeback(self.proc_id, line_address)
+            self.stats.counter("l1.m_to_tmi_flush").increment()
+            cycles += 2
+        self.array.set_state(line, next_state)
         return AccessResult(cycles=cycles, state=next_state)
 
-    def _request(self, kind: AccessKind, request: RequestType, line_address: int) -> AccessResult:
+    def _request(self, kind: AccessKind, line_address: int) -> AccessResult:
+        request = MISS_REQUESTS_BY_CODE[kind.code]
         outcome = self.directory.request(self.proc_id, request, line_address)
         result = AccessResult(
             cycles=outcome.cycles + self.params.l1_hit_cycles,
@@ -169,13 +189,13 @@ class L1Controller:
         if outcome.nacked:
             result.nacked = True
             return result
-        installed = GRANT_INSTALL[kind, outcome.grant]
+        installed = outcome.grant.install[kind.code]
         existing = self.array.peek(line_address)
         if installed is LineState.I:
             # Strong isolation: a plain Load that was threatened reads
             # the committed value but leaves the line uncached so that
             # it serializes before the writing transaction.
-            if existing is not None and not existing.state.is_transactional:
+            if existing is not None and not existing.state.t:
                 self._drop_line(existing)
             result.state = LineState.I
         elif existing is not None:
@@ -258,7 +278,7 @@ class L1Controller:
         line = self.array.peek(line_address)
         if line is not None:
             state = line.state
-            next_state = REMOTE_NEXT_STATE[req_type, state]
+            next_state = state.remote[req_type.code]
             if next_state is not state:
                 if state is LineState.M:
                     self.stats.counter("l1.remote_flushes").increment()
@@ -270,7 +290,7 @@ class L1Controller:
         # table (TMI lines never sit there: they spill to the OT).
         refill = self.victims.extract(line_address)
         if refill is not None:
-            self.victims.insert(line_address, REMOTE_NEXT_STATE[req_type, refill])
+            self.victims.insert(line_address, refill.remote[req_type.code])
 
         # A responder whose signature matched retains a conflict-
         # detection stake in the line even when its cached copy is gone
@@ -310,31 +330,31 @@ class L1Controller:
     def flash_commit(self) -> int:
         """CAS-Commit success path: Figure 3's COMMIT_TRANSFORM, T bits cleared."""
         swept = self.array.flash_transform(self._commit_line)
-        self._sweep_victims(COMMIT_TRANSFORM)
+        self._sweep_victims(commit=True)
         return swept
 
     def flash_abort(self) -> int:
         """Abort path: Figure 3's ABORT_TRANSFORM, T bits cleared."""
         swept = self.array.flash_transform(self._abort_line)
-        self._sweep_victims(ABORT_TRANSFORM)
+        self._sweep_victims(commit=False)
         return swept
 
     @staticmethod
     def _commit_line(line: CacheLine) -> None:
-        line.state = COMMIT_TRANSFORM[line.state]
+        line.state = line.state.commit
         line.t_bit = False
 
     @staticmethod
     def _abort_line(line: CacheLine) -> None:
-        line.state = ABORT_TRANSFORM[line.state]
+        line.state = line.state.abort
         line.t_bit = False
 
-    def _sweep_victims(self, transform: Dict[LineState, LineState]) -> None:
+    def _sweep_victims(self, commit: bool) -> None:
         """The flash transforms also cover the victim buffers."""
         stale = []
         for address in list(self.victims._entries):
             state = self.victims._entries[address]
-            new_state = transform[state]
+            new_state = state.commit if commit else state.abort
             if new_state is LineState.I:
                 stale.append(address)
             elif new_state is not state:

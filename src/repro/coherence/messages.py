@@ -62,6 +62,21 @@ class RequestType(enum.Enum):
         return self._value_ in spec.REQUEST_PREDICATES["is_exclusive"]
 
 
+def _number(members) -> None:
+    """Give each member a ``code``: its position, 0..n-1.
+
+    The compiled protocol tables (:mod:`repro.coherence.states`) are
+    tuples indexed by these codes, so the controllers dispatch on an
+    int index instead of hashing an enum key.
+    """
+    for code, member in enumerate(members):
+        member.code = code
+
+
+_number(AccessKind)
+_number(RequestType)
+
+
 class ResponseKind(enum.Enum):
     """Signature-qualified responses from a remote L1."""
 

@@ -21,12 +21,16 @@ Below the enum, the string tables of :mod:`repro.coherence.spec` are
 compiled once, at import time, into dicts keyed by the
 :class:`LineState`, :class:`~repro.coherence.messages.AccessKind`,
 :class:`~repro.coherence.messages.RequestType` and
-:class:`~repro.coherence.messages.ResponseKind` enums.  The L1, the
-directory and the processor look every (state x message) decision up in
-these dicts, so the tables the model checker verifies are the tables
-that run.  Compilation fails at import when a spec name has no enum
-member, or when a table the controllers index directly is not total
-over its enum domain.
+:class:`~repro.coherence.messages.ResponseKind` enums.  The same step
+then re-indexes the per-state tables into the executed form: each
+:class:`LineState` member carries tuples indexed by the small-int
+``code`` of an access kind or request type (``local``, ``remote``,
+``install``), its flash targets (``commit``, ``abort``) and its T and M
+bits (``t``, ``m``).  The L1 and the directory dispatch by one tuple
+index, so the tables the model checker verifies are the tables that
+run.  Compilation fails at import when a spec name has no enum member,
+or when a table the controllers index directly is not total over its
+enum domain.
 """
 
 from __future__ import annotations
@@ -39,7 +43,15 @@ from repro.coherence.messages import AccessKind, RequestType, ResponseKind
 
 
 class LineState(enum.Enum):
-    """Stable L1 line states of the TMESI protocol."""
+    """Stable L1 line states of the TMESI protocol.
+
+    Every member also carries its compiled cells (see :func:`_index`):
+    ``code``; ``local[access.code]``, the next state of a local hit or
+    ``"request"``/``"error"``; ``remote[request.code]``, the responder's
+    next state; ``install[access.code]``, what a requestor granted this
+    state installs; ``commit``/``abort``, the flash targets; ``t`` and
+    ``m``, the T and M bits.
+    """
 
     I = "I"
     S = "S"
@@ -137,6 +149,8 @@ REQUESTER_CST: Dict[Tuple[AccessKind, ResponseKind], str] = {
     (_member(_ACCESS, access), _member(_RESPONSE, response)): cst
     for (access, response), cst in spec.REQUESTER_CST.items()
 }
+#: The grant conditions the directory evaluates (``Directory._grant_and_record``).
+GRANT_CONDITIONS: FrozenSet[str] = frozenset({"threatened", "no_holders", "otherwise"})
 #: request -> (condition, grant) rules, most specific first: GETS follows
 #: spec.GETS_GRANT_RULES; an exclusive request gets its spec.GRANTS state.
 GRANT_RULES: Dict[RequestType, Tuple[Tuple[str, LineState], ...]] = {
@@ -183,3 +197,36 @@ _require_total("ABORT_TRANSFORM", ABORT_TRANSFORM, LineState)
 for _request, _rules in GRANT_RULES.items():
     if len(_rules) == 0 or _rules[-1][0] != "otherwise":
         raise ValueError(f"grant rules for {_request.value} lack a final 'otherwise' rule")
+    for _condition, _ in _rules:
+        if _condition not in GRANT_CONDITIONS:
+            raise ValueError(f"grant rules for {_request.value} name unknown {_condition!r}")
+
+
+# --------------------------------------------------------------------------- #
+# The executed form: the dicts above re-indexed by small-int codes.
+
+#: access code -> the directory request a miss or an upgrade issues.
+MISS_REQUESTS_BY_CODE: Tuple[RequestType, ...] = tuple(MISS_REQUESTS[kind] for kind in AccessKind)
+#: request code -> its GRANT_RULES.
+GRANT_RULES_BY_CODE: Tuple[Tuple[Tuple[str, LineState], ...], ...] = tuple(
+    GRANT_RULES[request] for request in RequestType
+)
+
+
+def _index() -> None:
+    """Attach each state's code-indexed cells (totality checked above)."""
+    for code, state in enumerate(LineState):
+        state.code = code
+        state.local = tuple(
+            LOCAL_NEXT_STATE.get((kind, state), LOCAL_DISPATCH[kind, state])
+            for kind in AccessKind
+        )
+        state.remote = tuple(REMOTE_NEXT_STATE[request, state] for request in RequestType)
+        state.install = tuple(GRANT_INSTALL[kind, state] for kind in AccessKind)
+        state.commit = COMMIT_TRANSFORM[state]
+        state.abort = ABORT_TRANSFORM[state]
+        state.t = state in TRANSACTIONAL_STATES
+        state.m = ENCODINGS[state][0]
+
+
+_index()

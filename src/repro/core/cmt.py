@@ -28,15 +28,21 @@ class ConflictManagementTable:
         """Add a descriptor to a processor's active list (idempotent)."""
         self._check(processor)
         active = self._lists[processor]
-        if descriptor not in active:
+        if all(listed is not descriptor for listed in active):
             active.append(descriptor)
         descriptor.last_processor = processor
 
     def unregister(self, descriptor: TransactionDescriptor) -> None:
-        """Remove a descriptor from every list (commit/final abort)."""
+        """Remove a descriptor from every list (commit/final abort).
+
+        Matches by identity: two transactions whose descriptors happen
+        to compare equal field by field are still two transactions.
+        """
         for active in self._lists:
-            if descriptor in active:
-                active.remove(descriptor)
+            for index, listed in enumerate(active):
+                if listed is descriptor:
+                    del active[index]
+                    break
 
     def move(self, descriptor: TransactionDescriptor, new_processor: int) -> None:
         """Re-home a descriptor (reschedule on a different processor)."""

@@ -175,7 +175,10 @@ class FlexTMMachine:
     def _nack_check(self, line_address: int, requestor: int) -> bool:
         now = self.processors[requestor].clock.now
         for proc in self.processors:
-            if proc.proc_id != requestor and proc.ot.nacks(line_address, now):
+            # Only a committed OT mid-copy-back NACKs: skip the others
+            # without the call.
+            ot = proc.ot
+            if ot.committed and proc.proc_id != requestor and ot.nacks(line_address, now):
                 self.stats.counter("ot.nacks").increment()
                 return True
         return False
@@ -224,6 +227,8 @@ class FlexTMMachine:
         thread = proc.current.thread_id if proc.current is not None else -1
         rw = "read" if kind is AccessKind.TLOAD else "write"
         self.tracer.on_access(proc.proc_id, thread, now, rw, address)
+        if not conflicts:
+            return
         line = self.amap.line_of(address)
         for responder, response in conflicts:
             cst = classify_conflict(kind, response)
@@ -302,53 +307,74 @@ class FlexTMMachine:
                     self.tracer.on_conflict(proc_id, now, victim, "SI", line)
         return out
 
+    def _quiet_hit(self, proc: FlexTMProcessor, kind: AccessKind, line: int) -> bool:
+        """Answer ``kind`` as a quiet L1 hit when nothing else is due.
+
+        With the OT empty there is no line to refill, and with no
+        summary conflict pending there is none to take, so
+        :meth:`L1Controller.quiet_hit` decides alone.  On True the
+        caller finishes the access as it finishes a clean full-path
+        access: ``l1_hit_cycles`` and no conflicts.
+        """
+        return (
+            proc.ot.count == 0
+            and not self._pending_summary_conflicts
+            and proc.l1.quiet_hit(kind, line)
+        )
+
     def tload(self, proc_id: int, address: int) -> MemoryOpResult:
         """Transactional load: updates Rsig, may install TI, sets CSTs."""
         proc = self.processors[proc_id]
+        kind = AccessKind.TLOAD
         if not proc.in_transaction:
             raise ProtocolError("TLoad outside a transaction")
         line = self.amap.line_of(address)
-        refill_cycles = proc.ot_refill(line)
-        result = proc.l1.access(AccessKind.TLOAD, line)
-        conflicts = result.conflicts + self._take_summary_conflicts()
-        if result.nacked:
-            return MemoryOpResult(cycles=result.cycles + refill_cycles, nacked=True)
+        if self._quiet_hit(proc, kind, line):
+            cycles, conflicts, l1_conflicts = self.params.l1_hit_cycles, [], []
+        else:
+            refill_cycles = proc.ot_refill(line)
+            result = proc.l1.access(kind, line)
+            conflicts = result.conflicts + self._take_summary_conflicts()
+            if result.nacked:
+                return MemoryOpResult(cycles=result.cycles + refill_cycles, nacked=True)
+            cycles, l1_conflicts = result.cycles + refill_cycles, result.conflicts
         proc.rsig.insert(line)
-        proc.note_request_conflicts(AccessKind.TLOAD, conflicts)
+        proc.note_request_conflicts(kind, conflicts)
         if self.invariants is not None:
-            self.invariants.on_access_conflicts(
-                self, proc_id, AccessKind.TLOAD, result.conflicts
-            )
+            self.invariants.on_access_conflicts(self, proc_id, kind, l1_conflicts)
         if proc.current is not None:
             proc.current.accesses += 1
         if self.tracer.enabled:
-            self._trace_access(proc, AccessKind.TLOAD, address, conflicts)
+            self._trace_access(proc, kind, address, conflicts)
         value = self._read_value(proc, address, transactional=True)
-        return MemoryOpResult(value=value, cycles=result.cycles + refill_cycles, conflicts=conflicts)
+        return MemoryOpResult(value=value, cycles=cycles, conflicts=conflicts)
 
     def tstore(self, proc_id: int, address: int, value: int) -> MemoryOpResult:
         """Transactional store: buffers the value (PDI), updates Wsig."""
         proc = self.processors[proc_id]
+        kind = AccessKind.TSTORE
         if not proc.in_transaction:
             raise ProtocolError("TStore outside a transaction")
         line = self.amap.line_of(address)
-        refill_cycles = proc.ot_refill(line)
-        result = proc.l1.access(AccessKind.TSTORE, line)
-        conflicts = result.conflicts + self._take_summary_conflicts()
-        if result.nacked:
-            return MemoryOpResult(cycles=result.cycles + refill_cycles, nacked=True)
+        if self._quiet_hit(proc, kind, line):
+            cycles, conflicts, l1_conflicts = self.params.l1_hit_cycles, [], []
+        else:
+            refill_cycles = proc.ot_refill(line)
+            result = proc.l1.access(kind, line)
+            conflicts = result.conflicts + self._take_summary_conflicts()
+            if result.nacked:
+                return MemoryOpResult(cycles=result.cycles + refill_cycles, nacked=True)
+            cycles, l1_conflicts = result.cycles + refill_cycles, result.conflicts
         proc.wsig.insert(line)
-        proc.note_request_conflicts(AccessKind.TSTORE, conflicts)
+        proc.note_request_conflicts(kind, conflicts)
         if self.invariants is not None:
-            self.invariants.on_access_conflicts(
-                self, proc_id, AccessKind.TSTORE, result.conflicts
-            )
+            self.invariants.on_access_conflicts(self, proc_id, kind, l1_conflicts)
         proc.overlay[address] = value
         if proc.current is not None:
             proc.current.accesses += 1
         if self.tracer.enabled:
-            self._trace_access(proc, AccessKind.TSTORE, address, conflicts)
-        return MemoryOpResult(value=value, cycles=result.cycles + refill_cycles, conflicts=conflicts)
+            self._trace_access(proc, kind, address, conflicts)
+        return MemoryOpResult(value=value, cycles=cycles, conflicts=conflicts)
 
     def cas(self, proc_id: int, address: int, expected: int, new: int) -> MemoryOpResult:
         """Non-transactional compare-and-swap (abort/arbitration tool)."""

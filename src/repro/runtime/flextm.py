@@ -281,10 +281,11 @@ class FlexTMRuntime(TMBackend):
         descriptor = thread.descriptor
         if descriptor is None or not thread.in_transaction:
             return False
-        proc = self.machine.processors[thread.processor]
+        machine = self.machine
+        proc = machine.processors[thread.processor]
         if proc.alerts.has_pending:
             proc.alerts.drain()
-        return self.machine.read_status(descriptor) is TxStatus.ABORTED
+        return machine.memory.read(descriptor.tsw_address) == TxStatus.ABORTED
 
     def retry_backoff(self, aborts_in_a_row: int) -> int:
         return self.manager.retry_backoff(aborts_in_a_row)

@@ -11,6 +11,9 @@ from typing import Iterable, Optional
 
 from repro.signatures.hashing import HashFamily, make_hash_family
 
+#: Set bits of a non-negative int (``int.bit_count`` from Python 3.10 on).
+_bit_count = getattr(int, "bit_count", None) or (lambda value: bin(value).count("1"))
+
 
 class Signature:
     """A conservative set-of-addresses summary.
@@ -147,7 +150,7 @@ class Signature:
     @property
     def popcount(self) -> int:
         """Number of set bits across all banks."""
-        return sum(bin(bank).count("1") for bank in self._banks)
+        return sum(map(_bit_count, self._banks))
 
     @property
     def inserted_count(self) -> int:
@@ -160,7 +163,7 @@ class Signature:
 
     def bank_fills(self) -> list:
         """Per-bank fill fraction (set bits / bank width)."""
-        return [bin(bank).count("1") / self._bank_bits for bank in self._banks]
+        return [count / self._bank_bits for count in map(_bit_count, self._banks)]
 
     def false_positive_estimate(self) -> float:
         """Probability a never-inserted address tests positive.
@@ -170,8 +173,10 @@ class Signature:
         idealised banked filter; a good sensor for the real one.
         """
         estimate = 1.0
-        for fill in self.bank_fills():
-            estimate *= fill
+        for count in map(_bit_count, self._banks):
+            if not count:
+                return 0.0
+            estimate *= count / self._bank_bits
         return estimate
 
     def __repr__(self) -> str:

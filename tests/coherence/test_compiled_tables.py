@@ -1,11 +1,14 @@
 """The compiled protocol tables: total, faithful to the spec, and live.
 
 :mod:`repro.coherence.states` compiles the string tables of
-:mod:`repro.coherence.spec` into enum-keyed dicts that the controllers
-execute.  These tests check that every (message x state) pair has a
-cell, that each compiled table maps back onto its spec table exactly,
-and that execution really reads the compiled dicts: corrupting one cell
-changes the matching Figure 1 conformance transition.
+:mod:`repro.coherence.spec` into enum-keyed dicts, and re-indexes them
+into the int-coded cells the controllers execute (each
+:class:`LineState` member's ``local``/``remote``/``install`` tuples and
+flash targets).  These tests check that every (message x state) pair
+has a cell, that each compiled table and each int-coded cell maps back
+onto its spec table exactly, and that execution really reads the
+int-coded cells: corrupting one cell changes the matching Figure 1
+conformance transition.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import tests.coherence.test_figure1_conformance as conformance
 from repro.coherence import spec, states
 from repro.coherence.messages import AccessKind, RequestType, ResponseKind
 from repro.coherence.states import LineState
+from repro.errors import ProtocolError
 
 
 def _names(table):
@@ -103,12 +107,45 @@ def test_state_and_message_predicates_come_from_the_spec():
         assert response.signals_conflict == (response.value in spec.CONFLICT_RESPONSES)
 
 
+def test_int_coded_cells_round_trip_to_the_spec():
+    assert [kind.code for kind in AccessKind] == list(range(len(AccessKind)))
+    assert [request.code for request in RequestType] == list(range(len(RequestType)))
+    assert [state.code for state in LineState] == list(range(len(LineState)))
+    for state in LineState:
+        name = state.value
+        for kind in AccessKind:
+            outcome = spec.LOCAL_DISPATCH[kind.value, name]
+            cell = state.local[kind.code]
+            if outcome == "local":
+                assert cell.value == spec.LOCAL_NEXT_STATE[kind.value, name]
+            else:
+                assert cell == outcome
+            installed = spec.GRANT_INSTALL.get((kind.value, name), name)
+            assert state.install[kind.code].value == installed
+        for request in RequestType:
+            assert state.remote[request.code].value == spec.REMOTE_NEXT_STATE[request.value, name]
+        assert state.commit.value == spec.COMMIT_TRANSFORM[name]
+        assert state.abort.value == spec.ABORT_TRANSFORM[name]
+        m_bit, _, t_bit = spec.ENCODINGS[name]
+        assert state.m == m_bit
+        assert state.t == bool(t_bit)
+    for kind in AccessKind:
+        assert states.MISS_REQUESTS_BY_CODE[kind.code].value == spec.MISS_REQUESTS[kind.value]
+    for request in RequestType:
+        assert states.GRANT_RULES_BY_CODE[request.code] == states.GRANT_RULES[request]
+
+
+def _corrupt(monkeypatch, state, table, code, target):
+    """Replace one int-coded cell of ``state`` for the rest of the test."""
+    cells = list(getattr(state, table))
+    cells[code] = target
+    monkeypatch.setattr(state, table, tuple(cells))
+
+
 def test_remote_dispatch_executes_the_compiled_table(monkeypatch):
     # Unpatched, a remote GETS demotes an E holder to S.
     conformance.test_remote_transition(LineState.E, RequestType.GETS, LineState.S)
-    monkeypatch.setitem(
-        states.REMOTE_NEXT_STATE, (RequestType.GETS, LineState.E), LineState.E
-    )
+    _corrupt(monkeypatch, LineState.E, "remote", RequestType.GETS.code, LineState.E)
     with pytest.raises(AssertionError):
         conformance.test_remote_transition(LineState.E, RequestType.GETS, LineState.S)
     conformance.test_remote_transition(LineState.E, RequestType.GETS, LineState.E)
@@ -117,7 +154,15 @@ def test_remote_dispatch_executes_the_compiled_table(monkeypatch):
 def test_local_dispatch_executes_the_compiled_table(monkeypatch):
     # Unpatched, a Store to an E line upgrades silently to M.
     conformance.test_local_transition(LineState.E, AccessKind.STORE, LineState.M)
-    monkeypatch.setitem(
-        states.LOCAL_NEXT_STATE, (AccessKind.STORE, LineState.E), LineState.E
-    )
+    _corrupt(monkeypatch, LineState.E, "local", AccessKind.STORE.code, LineState.E)
+    with pytest.raises(AssertionError):
+        conformance.test_local_transition(LineState.E, AccessKind.STORE, LineState.M)
     conformance.test_local_transition(LineState.E, AccessKind.STORE, LineState.E)
+
+
+def test_quiet_hit_path_executes_the_compiled_table(monkeypatch):
+    # Unpatched, a TStore to a local TMI line is a quiet hit.
+    conformance.test_local_transition(LineState.TMI, AccessKind.TSTORE, LineState.TMI)
+    _corrupt(monkeypatch, LineState.TMI, "local", AccessKind.TSTORE.code, "error")
+    with pytest.raises(ProtocolError):
+        conformance.test_local_transition(LineState.TMI, AccessKind.TSTORE, LineState.TMI)

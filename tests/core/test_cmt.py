@@ -73,3 +73,17 @@ def test_all_descriptors_deduplicates():
     # Manually force a second listing (reschedule invariant).
     cmt._lists[1].append(descriptor)
     assert len(list(cmt.all_descriptors())) == 1
+
+
+def test_unregister_matches_by_identity():
+    """Value-equal descriptors are distinct transactions."""
+    cmt = ConflictManagementTable(4)
+    first = _descriptor(1)
+    second = _descriptor(1)
+    assert first == second and first is not second
+    cmt.register(0, first)
+    cmt.register(0, second)
+    assert len(cmt.active_on(0)) == 2
+    cmt.unregister(second)
+    remaining = cmt.active_on(0)
+    assert len(remaining) == 1 and remaining[0] is first
